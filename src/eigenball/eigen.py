@@ -4,10 +4,24 @@ The upper principal eigenvalue is the supremum of shifts lambda admitting a
 positive bounded supersolution of G + lambda v^{alpha+1} <= 0 under the
 Neumann condition; below it the maximum principle holds, at and above it the
 monotone iteration with negative data becomes unbounded.  That dichotomy is
-what the bisection probes: a trial lambda is classified by running
-``monotone_iteration`` with g = -1 and watching whether the iterates settle
-or blow past the threshold.  The mirrored eigenvalue (negative
-eigenfunctions) uses the same engine with g = +1 and decreasing iterates.
+what the bisection probes.  The mirrored eigenvalue (negative
+eigenfunctions) is the upper one of the reflected operator -F(-p, -X).
+
+For alpha = 0 with a monotone stencil (nonnegative off-diagonals under every
+row-wise policy) a probe is decided from one positive grid function phi.  The
+discrete Pucci- operator is the row-wise minimum, and Pucci+ the maximum,
+of linear policy operators whose negatives are M-matrices.  So with
+rho_i = -G(phi)_i / phi_i, phi is a strict supersolution for every
+lambda < min rho, which bounds the monotone iterates, and a strict
+subsolution for every lambda > max rho, which rules out a bounded limit of
+the iteration: the discrete Collatz-Wielandt bracket
+min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
+iteration, one shifted inverse-iteration solve per round.  A probe within a
+rounding guard of that bracket, every probe for alpha != 0, and every probe
+of a non-monotone stencil is still classified by running
+``monotone_iteration`` with g = -1 (g = +1, decreasing iterates, for the
+mirrored eigenvalue) and watching whether the iterates settle or blow past
+the threshold.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
 supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
@@ -26,13 +40,14 @@ from .grid import GridFunction, RadialGrid
 from .operators import CoefficientField, EllipticOperator, sample_profile, signed_power
 from .solver import (
     InnerSolveError,
-    IterationReport,
     PreconditionError,
     SolveOptions,
     SolveReport,
     SolveWorkspace,
     Verdict,
     _Driver,
+    _rounding_floor,
+    _TriFactor,
     monotone_iteration,
     residual,
 )
@@ -51,6 +66,12 @@ __all__ = [
 # Irrational interval split so the probe sequence cannot land exactly on
 # symmetric special values (e.g. lambda = 0 for c == 0).
 _SPLIT = 2.0 - (1.0 + math.sqrt(5.0)) / 2.0
+
+# Howard rounds of the Collatz-Wielandt eigenpair stop once the bracket is
+# this narrow relative to 1 + |c|_inf (or at the rounding guard), or after
+# this many rounds; policy iteration settles in a handful
+_CW_REL_WIDTH = 1e-9
+_CW_MAX_ROUNDS = 50
 
 
 class BracketError(RuntimeError):
@@ -113,11 +134,17 @@ class EigenOptions:
 
 @dataclass
 class EigenEstimate:
-    """Bisection bracket plus the normalized eigenfunction at its midpoint.
+    """Bisection bracket plus the normalized eigenfunction.
 
-    ``lambda_lo`` is certified convergent, ``lambda_hi`` certified blow-up,
-    both by direct monotone-iteration runs that can be replayed.  The
-    eigenfunction has sup-norm exactly 1 and a strict sign.
+    ``lambda_lo`` is certified convergent and ``lambda_hi`` certified
+    blow-up.  ``probes`` holds one ``(lambda, verdict, how)`` per probe:
+    ``how`` is ``"monotone"`` for a direct monotone-iteration run, which can
+    be replayed, and ``"cw"`` for a verdict read off the Collatz-Wielandt
+    bracket ``cw_bracket`` = (min rho, max rho) of a positive eigenvector
+    phi (see the module docstring).  ``cw_bracket`` is ``None`` when that
+    bracket was not used (alpha != 0 or a non-monotone stencil); the
+    eigenfunction is then the normalized final iterate at ``lambda_lo``,
+    otherwise phi.  It has sup-norm exactly 1 and a strict sign.
     """
 
     lambda_lo: float
@@ -126,6 +153,7 @@ class EigenEstimate:
     residual_sup: float
     sign: str
     probes: list
+    cw_bracket: Optional[tuple] = None
 
     @property
     def midpoint(self) -> float:
@@ -136,16 +164,102 @@ class EigenEstimate:
         return self.lambda_hi - self.lambda_lo
 
     def summary(self):
+        cw_lo, cw_hi = self.cw_bracket if self.cw_bracket is not None else (None, None)
         return {
             "lambda_lo": self.lambda_lo,
             "lambda_hi": self.lambda_hi,
             "lambda_mid": self.midpoint,
             "residual_sup": self.residual_sup,
             "sign": self.sign,
+            "cw_lo": cw_lo,
+            "cw_hi": cw_hi,
         }
 
 
-def _classify(op, coeff, lam, g_profile, grid, opts, ws, direction) -> IterationReport:
+@dataclass(frozen=True)
+class _CWBracket:
+    """Collatz-Wielandt bracket [lo, hi] of the positive eigenvector phi
+    (sup-norm 1), and the rounding guard around it."""
+
+    lo: float
+    hi: float
+    guard: float
+    phi: np.ndarray
+
+
+def _monotone_stencil(driver: _Driver) -> bool:
+    """Whether the bands of every row-wise policy have nonnegative
+    off-diagonals (alpha = 0), the discrete comparison principle the
+    Collatz-Wielandt bracket rests on.  The lower band is smallest with
+    the small radial and large tangential weight, the upper one with both
+    small."""
+    if driver.sign_weights:
+        small, large = sorted((driver.op.a, driver.op.A))
+        weights = ((small, large), (small, small))
+    else:
+        weights = ((driver.w_rad, driver.w_tan),)
+    for w_rad, w_tan in weights:
+        lower, _, upper = driver._bands(None, (None, None, None, None, w_rad, w_tan))
+        if lower.min() < 0.0 or upper.min() < 0.0:
+            return False
+    return True
+
+
+def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
+    """Positive eigenvector of the alpha = 0 operator and its bracket.
+
+    Howard policy iteration: each round freezes the Pucci sign pattern of
+    phi, whose bands L reproduce G(phi) exactly, and takes one inverse
+    iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits
+    below min rho <= the policy's Perron root, so -L - sigma is a
+    nonsingular M-matrix and the step keeps phi positive.  Returns ``None``
+    for alpha != 0, a non-monotone stencil, or a step that fails; the
+    mirrored eigenvalue uses the reflected operator.
+    """
+    if op.alpha != 0.0:
+        return None
+    if direction == "down":
+        op = op.reflect()
+    b, c, _ = coeff.sample(grid.nodes)
+    driver = _Driver(op, grid, b, c)
+    if not _monotone_stencil(driver):
+        return None
+    c_inf = float(np.max(np.abs(c)))
+    floor = _rounding_floor(op, grid, c_inf)
+    phi = np.ones(grid.n)
+    rounds = 0
+    while True:
+        res, aux = driver.residual(0.0, phi)
+        rho = -res / phi
+        lo, hi = float(rho.min()), float(rho.max())
+        # rho_i carries the stencil's rounding error divided by phi_i
+        guard = floor / float(phi.min())
+        if hi - lo <= max(_CW_REL_WIDTH * (1.0 + c_inf), guard) or rounds == _CW_MAX_ROUNDS:
+            return _CWBracket(lo, hi, guard, phi)
+        lower, diag, upper = driver._bands(phi, aux)
+        sigma = lo - (hi - lo)
+        try:
+            x = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
+        except np.linalg.LinAlgError:
+            return None
+        if not x.min() > 0.0:
+            return None
+        phi = x / x.max()
+        rounds += 1
+
+
+def _classify(op, coeff, lam, g_profile, grid, opts, ws, direction, cw):
+    """Verdict on a trial shift, as ``(verdict, report, how)``.
+
+    Read off the Collatz-Wielandt bracket ``cw`` when ``lam`` lies outside
+    it by more than its guard (``report`` is then ``None``); otherwise run
+    the monotone iteration.
+    """
+    if cw is not None:
+        if lam < cw.lo - cw.guard:
+            return Verdict.CONVERGED, None, "cw"
+        if lam > cw.hi + cw.guard:
+            return Verdict.UNBOUNDED, None, "cw"
     rep = monotone_iteration(
         op,
         coeff,
@@ -161,14 +275,28 @@ def _classify(op, coeff, lam, g_profile, grid, opts, ws, direction) -> Iteration
             f"{opts.max_outer} steps (last sup-norm {rep.sup_norms[-1]:.3e}); "
             f"raise max_outer or widen the bracket"
         )
-    return rep
+    return rep.verdict, rep, "monotone"
 
 
-def _normalized(final: GridFunction) -> GridFunction:
-    sup = final.sup_norm()
+def _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts):
+    """Normalize an eigenfunction candidate to sup-norm 1, check its strict
+    sign and its eigen-equation residual at ``lam_mid``; returns
+    ``(phi, residual_sup)``."""
+    sup = float(np.max(np.abs(values)))
     if sup == 0.0:
         raise BracketError("degenerate eigenfunction candidate (identically zero)")
-    return GridFunction(final.grid, final.values / sup)
+    phi = GridFunction(grid, values / sup)
+    if direction == "up":
+        if phi.min() <= 0:
+            raise BracketError("eigenfunction lost strict positivity")
+    else:
+        if phi.max() >= 0:
+            raise BracketError("eigenfunction lost strict negativity")
+    res_sup = residual(op, coeff, lam_mid, 0.0, phi).sup_norm()
+    res_tol = opts.resolved_residual_tol(width)
+    if res_sup > res_tol:
+        raise EigenResidualError(res_sup, res_tol)
+    return phi, res_sup
 
 
 def _bisect(op, coeff, grid, opts, direction: str):
@@ -179,20 +307,25 @@ def _bisect(op, coeff, grid, opts, direction: str):
     g_const = -opts.g_scale if direction == "up" else opts.g_scale
     g_vals = np.full(grid.n, float(g_const))
     ws = SolveWorkspace()
+    cw = _collatz_wielandt(op, coeff, grid, direction)
     probes = []
 
+    def probe(lam, bracket):
+        verdict, rep, how = _classify(op, coeff, lam, g_vals, grid, opts, ws, direction, bracket)
+        probes.append((lam, verdict.value, how))
+        return verdict, rep
+
+    # the envelope ends are always real runs: they check the configuration
     lo, hi = -(c_inf + 1.0), c_inf + 1.0
-    rep_lo = _classify(op, coeff, lo, g_vals, grid, opts, ws, direction)
-    probes.append((lo, rep_lo.verdict.value))
-    if rep_lo.verdict is not Verdict.CONVERGED:
+    verdict, rep_lo = probe(lo, None)
+    if verdict is not Verdict.CONVERGED:
         raise BracketError(
             f"iteration at the initial lower end lambda={lo:.9g} did not "
             f"converge; -|c|_inf always admits the constant supersolution, so "
             f"this is a configuration error"
         )
-    rep_hi = _classify(op, coeff, hi, g_vals, grid, opts, ws, direction)
-    probes.append((hi, rep_hi.verdict.value))
-    if rep_hi.verdict is not Verdict.UNBOUNDED:
+    verdict, _ = probe(hi, None)
+    if verdict is not Verdict.UNBOUNDED:
         raise BracketError(
             f"iteration at lambda={hi:.9g} > |c|_inf converged; the eigenvalue "
             f"is bounded by |c|_inf, so this is a configuration error"
@@ -200,28 +333,17 @@ def _bisect(op, coeff, grid, opts, direction: str):
 
     while hi - lo > width:
         mid = lo + _SPLIT * (hi - lo)
-        rep = _classify(op, coeff, mid, g_vals, grid, opts, ws, direction)
-        probes.append((mid, rep.verdict.value))
-        if rep.verdict is Verdict.CONVERGED:
+        verdict, rep = probe(mid, cw)
+        if verdict is Verdict.CONVERGED:
             lo, rep_lo = mid, rep
         else:
             hi = mid
 
-    phi = _normalized(rep_lo.final)
-    if direction == "up":
-        if phi.min() <= 0:
-            raise BracketError("eigenfunction lost strict positivity")
+    if cw is None:
+        values = rep_lo.final.values
     else:
-        if phi.max() >= 0:
-            raise BracketError("eigenfunction lost strict negativity")
-
-    lam_mid = 0.5 * (lo + hi)
-    res = residual(op, coeff, lam_mid, 0.0, phi)
-    res_sup = res.sup_norm()
-    res_tol = opts.resolved_residual_tol(width)
-    if res_sup > res_tol:
-        raise EigenResidualError(res_sup, res_tol)
-
+        values = cw.phi if direction == "up" else -cw.phi
+    phi, res_sup = _eigenfunction(op, coeff, grid, values, direction, 0.5 * (lo + hi), width, opts)
     return EigenEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
@@ -229,6 +351,7 @@ def _bisect(op, coeff, grid, opts, direction: str):
         residual_sup=res_sup,
         sign=sign,
         probes=probes,
+        cw_bracket=None if cw is None else (cw.lo, cw.hi),
     )
 
 
@@ -240,10 +363,17 @@ def lambda_up(
 ) -> EigenEstimate:
     """Bracket the upper principal eigenvalue (positive eigenfunction).
 
-    Bisection on [-|c|_inf - 1, |c|_inf + 1]; a trial shift is classified by
-    whether the monotone iteration with g = -1 stays bounded.  The returned
-    eigenfunction is the normalized final iterate at the certified lower
-    end, and ``residual_sup`` is its eigen-equation residual at the bracket
+    Bisection on [-|c|_inf - 1, |c|_inf + 1].  The two ends are checked by
+    monotone-iteration runs with g = -1.  For alpha = 0 with a monotone
+    stencil, each trial shift outside the Collatz-Wielandt bracket
+    [min rho, max rho] of the positive eigenvector phi (widened by a
+    rounding guard) is decided from that bracket: phi is a strict
+    supersolution below it and a subsolution above it, because Pucci- is
+    the row-wise minimum and Pucci+ the maximum over policies of M-matrices.
+    Any other trial shift is classified by whether the monotone iteration
+    stays bounded.  The returned eigenfunction is phi, or without the
+    bracket the final iterate at the certified lower end, normalized;
+    ``residual_sup`` is its eigen-equation residual at the bracket
     midpoint.
     """
     return _bisect(op, coeff, grid, opts or EigenOptions(), "up")
@@ -257,9 +387,10 @@ def lambda_down(
 ) -> EigenEstimate:
     """Bracket the lower principal eigenvalue (negative eigenfunction).
 
-    Mirror of ``lambda_up``: probes run the monotone iteration with g = +1,
-    producing negative decreasing iterates.  Equivalent to ``lambda_up`` for
-    the reflected operator -F(-p, -X), which swaps the two Pucci kinds.
+    Mirror of ``lambda_up``: monotone probes run with g = +1, producing
+    negative decreasing iterates, and the Collatz-Wielandt bracket is that
+    of the reflected operator -F(-p, -X), which swaps the two Pucci kinds,
+    with its eigenvector negated.
     """
     return _bisect(op, coeff, grid, opts or EigenOptions(), "down")
 
@@ -273,31 +404,32 @@ def eigenfunction_up(
 ) -> GridFunction:
     """Normalized positive eigenfunction from a certified convergent shift.
 
-    Runs the monotone iteration with g = -1 at ``lambda_bar_est`` (the
-    certified lower bracket end), normalizes the final iterate to sup-norm
-    1, and checks its residual at the bracket midpoint against
-    ``opts.eig_residual_tol``; an excessive residual is reported via
-    ``EigenResidualError`` rather than silently accepted.
+    ``lambda_bar_est`` (the certified lower bracket end) is classified as a
+    bisection probe is, and must be convergent.  The eigenfunction is the
+    Collatz-Wielandt eigenvector when alpha = 0 and the stencil is
+    monotone, else the final iterate of the monotone iteration with
+    g = -1 at ``lambda_bar_est``, normalized to sup-norm 1.  Its residual at
+    the bracket midpoint is checked against ``opts.eig_residual_tol``; an
+    excessive residual is reported via ``EigenResidualError`` rather than
+    silently accepted.
     """
     opts = opts or EigenOptions()
     c_vals = sample_profile(coeff.c, grid.nodes)
     c_inf = float(np.max(np.abs(c_vals)))
     width = opts.resolved_width(c_inf)
     g_vals = np.full(grid.n, -opts.g_scale)
-    ws = SolveWorkspace()
-    rep = _classify(op, coeff, lambda_bar_est, g_vals, grid, opts, ws, "up")
-    if rep.verdict is not Verdict.CONVERGED:
+    cw = _collatz_wielandt(op, coeff, grid, "up")
+    verdict, rep, _ = _classify(
+        op, coeff, lambda_bar_est, g_vals, grid, opts, SolveWorkspace(), "up", cw
+    )
+    if verdict is not Verdict.CONVERGED:
         raise BracketError(
             f"lambda={lambda_bar_est:.9g} is not a certified convergent shift"
         )
-    phi = _normalized(rep.final)
-    if phi.min() <= 0:
-        raise BracketError("eigenfunction lost strict positivity")
-    lam_mid = lambda_bar_est + 0.5 * width
-    res_sup = residual(op, coeff, lam_mid, 0.0, phi).sup_norm()
-    res_tol = opts.resolved_residual_tol(width)
-    if res_sup > res_tol:
-        raise EigenResidualError(res_sup, res_tol)
+    values = rep.final.values if cw is None else cw.phi
+    phi, _ = _eigenfunction(
+        op, coeff, grid, values, "up", lambda_bar_est + 0.5 * width, width, opts
+    )
     return phi
 
 
@@ -358,8 +490,7 @@ def solve_general(
     full_driver = _Driver(op, grid, b, c + lam)
     tol_base = opts.tol / 10.0
     slack = max(100.0 * opts.tol, 1e-12 * (1.0 + g_sup))
-    _, Aeff = op.ellipticity_bounds()
-    eps_floor = 10.0 * np.finfo(float).eps * (4.0 * Aeff / grid.h**2 + c_inf + 1.0)
+    eps_floor = _rounding_floor(op, grid, c_inf)
 
     u = u0.copy()
     sandwich_ok = True

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .grid import GridFunction, RadialGrid, derivative_arrays
 from .operators import (
@@ -65,18 +66,22 @@ DT_SHRINK = 0.5
 DT_MAX = 1e12
 HOWARD_MAX_ROUNDS = 64
 
-try:  # LAPACK tridiagonal LU; solve_banded fallback kept for odd builds
-    from scipy.linalg import get_lapack_funcs
+# safety factor on the eps * ||L|| backward error of the stencil
+ROUNDOFF_SAFETY = 10.0
 
-    _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
-except Exception:  # pragma: no cover
-    _gttrf = _gttrs = None
-
-from scipy.linalg import solve_banded as _solve_banded
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
 
 
 def _supabs(x) -> float:
     return float(max(x.max(), -x.min()))
+
+
+def _rounding_floor(op, grid, c_inf) -> float:
+    """Attainable residual per unit sup-norm of the solution: the backward
+    error eps * (4 A / h^2 + |c|_inf + 1) of the stencil, with a safety
+    factor."""
+    _, Aeff = op.ellipticity_bounds()
+    return ROUNDOFF_SAFETY * np.finfo(float).eps * (4.0 * Aeff / grid.h**2 + c_inf + 1.0)
 
 
 class PreconditionError(ValueError):
@@ -99,33 +104,21 @@ class Verdict(enum.Enum):
 
 
 class _TriFactor:
-    """LU factorization of a tridiagonal matrix."""
+    """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs)."""
 
-    __slots__ = ("_lu", "_ab")
+    __slots__ = ("_lu",)
 
     def __init__(self, lower, diag, upper):
-        if _gttrf is not None:
-            dlf, df, duf, du2, ipiv, info = _gttrf(lower, diag, upper)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"gttrf info={info}")
-            self._lu = (dlf, df, duf, du2, ipiv)
-            self._ab = None
-        else:  # pragma: no cover
-            n = diag.shape[0]
-            ab = np.zeros((3, n))
-            ab[0, 1:] = upper
-            ab[1, :] = diag
-            ab[2, :-1] = lower
-            self._ab = ab
-            self._lu = None
+        dlf, df, duf, du2, ipiv, info = _gttrf(lower, diag, upper)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gttrf info={info}")
+        self._lu = (dlf, df, duf, du2, ipiv)
 
     def solve(self, rhs):
-        if self._lu is not None:
-            x, info = _gttrs(*self._lu, rhs)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"gttrs info={info}")
-            return x
-        return _solve_banded((1, 1), self._ab, rhs)  # pragma: no cover
+        x, info = _gttrs(*self._lu, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gttrs info={info}")
+        return x
 
 
 @dataclass
@@ -728,11 +721,8 @@ def monotone_iteration(
     tol_base = opts.tol / 10.0
     inv_ap1 = 1.0 / (op.alpha + 1.0)
     linear_zero_order = op.alpha == 0.0
-    # attainable residual floor of the inner solves: backward error of the
-    # stencil, eps * ||L|| * ||u||, with a modest safety factor
-    _, Aeff = op.ellipticity_bounds()
-    stencil = 4.0 * Aeff / grid.h**2 + c_inf + 1.0
-    eps_floor = 10.0 * np.finfo(float).eps * stencil
+    # attainable residual floor of the inner solves, per unit of ||u||
+    eps_floor = _rounding_floor(op, grid, c_inf)
 
     u = np.zeros(grid.n)
     sup_norms = [0.0]

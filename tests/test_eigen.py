@@ -169,3 +169,91 @@ def test_solve_general_rejects_shift_above_threshold():
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=1.0)
     with pytest.raises(eb.PreconditionError):
         eb.solve_general(LAP, coeff, 1.5, None, GRID)
+
+
+# ------------------------ Collatz-Wielandt classifier -------------------------
+
+
+def _criterion_3_band():
+    bound = eb.beta2_upper_bound(2, 1.0, 2.0, 0.0, 1.0, 0.25, 4.0, 10.0)
+    params = eb.build_params(2, 1.0, 2.0, 0.0, 1.0, 0.25, 4.0, 10.0, bound / 2.0)
+    return eb.default_c_band(params)
+
+
+@pytest.mark.parametrize(
+    "op, c",
+    [
+        (LAP, -1.0),  # criterion 1
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), "band"),  # criterion 3
+        (LAP, lambda r: -1.0 - r**2),
+    ],
+    ids=["criterion_1", "criterion_3", "laplacian_c_r2"],
+)
+def test_cw_bracket_inside_bisection_bracket(op, c):
+    c = _criterion_3_band() if c == "band" else c
+    est = bracket(op, c, grid=eb.build_grid(1.0, 2, 401))
+    cw_lo, cw_hi = est.cw_bracket
+    assert est.lambda_lo <= cw_lo <= cw_hi <= est.lambda_hi
+    assert cw_hi - cw_lo <= 1e-8
+    assert (est.summary()["cw_lo"], est.summary()["cw_hi"]) == (cw_lo, cw_hi)
+    # only the two envelope ends are monotone-iteration runs
+    assert [p[2] for p in est.probes[:2]] == ["monotone", "monotone"]
+    assert {p[2] for p in est.probes[2:]} == {"cw"}
+
+
+@pytest.mark.parametrize(
+    "op, c, sign",
+    [
+        (LAP, lambda r: -1.0 - r**2, "up"),
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), lambda r: -1.0 - r**2, "down"),
+    ],
+    ids=["laplacian_up", "pucci_minus_down"],
+)
+def test_cw_probes_replay_with_monotone_iteration(op, c, sign):
+    est = bracket(op, c, sign=sign, bracket_width=0.02)
+    coeff = eb.CoefficientField(b=0.0, c=c, g=0.0)
+    g = -1.0 if sign == "up" else 1.0
+    cw_probes = [p for p in est.probes if p[2] == "cw"]
+    assert cw_probes
+    for lam, verdict, _ in cw_probes:
+        rep = eb.monotone_iteration(op, coeff, lam, g, GRID,
+                                    eb.SolveOptions(max_iter=400_000), direction=sign)
+        assert rep.verdict.value == verdict, lam
+
+
+def test_probe_in_guard_band_runs_monotone_iteration():
+    from eigenball.eigen import _classify, _CWBracket
+
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
+    # a stand-in bracket [0.5, 0.6] with guard 0.1; the true threshold is 1
+    cw = _CWBracket(lo=0.5, hi=0.6, guard=0.1, phi=np.ones(GRID.n))
+    g = np.full(GRID.n, -1.0)
+    args = (GRID, eb.EigenOptions(), eb.SolveWorkspace(), "up", cw)
+    verdict, rep, how = _classify(LAP, coeff, 0.45, g, *args)
+    assert (verdict, how) == (eb.Verdict.CONVERGED, "monotone")
+    assert rep.verdict is eb.Verdict.CONVERGED
+    verdict, rep, how = _classify(LAP, coeff, 0.35, g, *args)
+    assert (verdict, rep, how) == (eb.Verdict.CONVERGED, None, "cw")
+    verdict, rep, how = _classify(LAP, coeff, 0.75, g, *args)
+    assert (verdict, rep, how) == (eb.Verdict.UNBOUNDED, None, "cw")
+
+
+def test_nonzero_alpha_uses_only_monotone_probes():
+    op = eb.EllipticOperator.p_laplacian(3.0)
+    est = bracket(op, -1.0, grid=eb.build_grid(1.0, 2, 51), bracket_width=0.1)
+    assert est.cw_bracket is None
+    assert est.summary()["cw_lo"] is None and est.summary()["cw_hi"] is None
+    assert {p[2] for p in est.probes} == {"monotone"}
+    assert len(est.probes) == 9
+    assert est.lambda_lo < 1.0 < est.lambda_hi
+
+
+def test_non_monotone_stencil_has_no_cw_bracket():
+    # in R^3 the first interior row of Pucci- (a = 1, A = 2) has the lower
+    # off-diagonal (a - A) / h^2 < 0 under the mixed policy
+    from eigenball.eigen import _collatz_wielandt
+
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)
+    assert _collatz_wielandt(op, coeff, eb.build_grid(1.0, 3, 101), "up") is None
+    assert _collatz_wielandt(op, coeff, eb.build_grid(1.0, 2, 101), "up") is not None
