@@ -78,6 +78,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):

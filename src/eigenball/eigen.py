@@ -190,16 +190,13 @@ class _CWBracket:
 def _monotone_stencil(driver: _Driver) -> bool:
     """Whether the bands of every row-wise policy have nonnegative
     off-diagonals (alpha = 0), the discrete comparison principle the
-    Collatz-Wielandt bracket rests on.  The lower band is smallest with
-    the small radial and large tangential weight, the upper one with both
-    small."""
-    if driver.sign_weights:
-        small, large = sorted((driver.op.a, driver.op.A))
-        weights = ((small, large), (small, small))
-    else:
-        weights = ((driver.w_rad, driver.w_tan),)
-    for w_rad, w_tan in weights:
-        lower, _, upper = driver._bands(None, (None, None, None, None, w_rad, w_tan))
+    Collatz-Wielandt bracket rests on.  Both bands are smallest with the
+    small radial weight, so that one is checked against every tangential
+    weight's advection band."""
+    w_rad = min(driver.policy) if driver.sign_weights else driver.w_rad
+    diff = w_rad / (driver.h * driver.h)
+    for adv in driver.adv:
+        lower, upper = driver._offdiag(diff, adv)
         if lower.min() < 0.0 or upper.min() < 0.0:
             return False
     return True

@@ -9,11 +9,14 @@ c + lambda <= -c0 < 0.  The discrete problem is driven to a steady state by
 pseudo-transient continuation: each step solves the tridiagonal system
 (I - dt L) du = dt * residual with L the frozen-coefficient linearization,
 and dt follows an adaptive policy (halve on residual increase, grow 1.1x on
-decrease).  Since the frozen operator reproduces the nonlinear one exactly
-at the current iterate, large dt steps degenerate into Picard/Howard policy
-iteration; for gradient exponent alpha = 0 the policy steps are taken
-directly, with the factorization cached while the eigenvalue sign pattern
-is unchanged.
+decrease).  L is built once per accepted iterate; a rejected step only
+changes dt and reuses it.  Since the frozen operator reproduces the
+nonlinear one exactly at the current iterate, large dt steps degenerate
+into Picard/Howard policy iteration; for gradient exponent alpha = 0 the
+policy steps are taken directly, with the factorization cached while the
+eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian,
+and a solve that stalls is continued from a large gradient floor shrunk
+back to the true one, then polished by further pseudo-time runs.
 
 ``monotone_iteration`` runs the shifted-problem fixed point
 
@@ -69,11 +72,11 @@ HOWARD_MAX_ROUNDS = 64
 # safety factor on the eps * ||L|| backward error of the stencil
 ROUNDOFF_SAFETY = 10.0
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
+_gttrf, _gttrs, _gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.array([1.0]),))
 
 
 def _supabs(x) -> float:
-    return float(max(x.max(), -x.min()))
+    return float(max(np.maximum.reduce(x), -np.minimum.reduce(x)))
 
 
 def _rounding_floor(op, grid, c_inf) -> float:
@@ -221,10 +224,10 @@ class IterationReport:
 class _Driver:
     """Repeated solves of one frozen-coefficient problem with varying data.
 
-    Owns the node samples of b and c + lambda, the constant part of the
-    second-order weights, and the workspace.  All heavy per-step work
-    (residual, bands, factor) happens here so the iteration layers above
-    stay thin.
+    Owns the node samples of b and c + lambda, the parts of the bands that
+    do not depend on the iterate (weights, advection, zero-order factor),
+    and the workspace.  All heavy per-step work (residual, bands, factor)
+    happens here so the iteration layers above stay thin.
     """
 
     __slots__ = (
@@ -232,6 +235,7 @@ class _Driver:
         "grid",
         "b",
         "c_eff",
+        "zc",
         "ws",
         "alpha",
         "n",
@@ -242,6 +246,8 @@ class _Driver:
         "w_rad",
         "w_tan",
         "sign_weights",
+        "policy",
+        "adv",
         "delta_override",
     )
 
@@ -260,16 +266,36 @@ class _Driver:
         self.inv_r = 1.0 / grid.nodes[1:-1]
         self.sign_weights = op.kind in (PUCCI_MINUS, PUCCI_PLUS) and op.a != op.A
         self.delta_override = None
+        # zero-order band factor (alpha + 1) c; exactly c_eff for alpha = 0
+        self.zc = (self.alpha + 1.0) * c_eff
         if self.sign_weights:
+            # Pucci weights where the second derivative is >= 0 / < 0
+            self.policy = (op.a, op.A) if op.kind == PUCCI_MINUS else (op.A, op.a)
             self.w_rad = self.w_tan = None
-        elif op.kind == P_LAPLACIAN:
-            self.w_rad, self.w_tan = op.p - 1.0, 1.0
-        elif op.kind == ANISOTROPIC:
-            b1 = sample_profile(op.b1_profile, self.r)
-            b2 = sample_profile(op.b2_profile, self.r)
-            self.w_rad, self.w_tan = b1 + op.c0 * b2 * b2, b1
+            tangential = [np.full(self.n, w) for w in self.policy]
         else:
-            self.w_rad = self.w_tan = op.a
+            if op.kind == P_LAPLACIAN:
+                w_rad, w_tan = op.p - 1.0, 1.0
+            elif op.kind == ANISOTROPIC:
+                b1 = sample_profile(op.b1_profile, self.r)
+                b2 = sample_profile(op.b2_profile, self.r)
+                w_rad, w_tan = b1 + op.c0 * b2 * b2, b1
+            else:
+                w_rad = w_tan = op.a
+            # one shared array marks an isotropic weight (residual short form)
+            self.w_rad = np.full(self.n, w_rad)
+            isotropic = np.isscalar(w_rad) and w_rad == w_tan
+            self.w_tan = self.w_rad if isotropic else np.full(self.n, w_tan)
+            tangential = [self.w_tan]
+        # advection band w_tan (N-1)/(2h r) + b/(2h), one array per tangential
+        # weight; the end entries are never read
+        self.adv = []
+        for w in tangential:
+            adv = np.zeros(self.n)
+            adv[1:-1] = w[1:-1] * ((self.N - 1) / (2.0 * self.h)) * self.inv_r
+            if self.b is not None:
+                adv[1:-1] += self.b[1:-1] / (2.0 * self.h)
+            self.adv.append(adv)
 
     # -- residual -----------------------------------------------------------
 
@@ -281,25 +307,27 @@ class _Driver:
         return t
 
     def residual(self, g, v):
-        """Residual LHS - RHS plus the frozen data needed for the bands."""
+        """Residual LHS - RHS plus the frozen data ``aux`` the bands need.
+
+        aux = (u', u'', t, t >= 0 mask, w_rad, w_tan, m^alpha); the mask is
+        None without sign weights and m^alpha None for alpha = 0.  For
+        alpha != 0 it goes on with (m, P, delta, |u'|, sup|v|).
+        """
         u1, u2 = derivative_arrays(v, self.h)
         t = self._tangential(u1, u2)
         if self.sign_weights:
-            lo, hi = (
-                (self.op.a, self.op.A)
-                if self.op.kind == PUCCI_MINUS
-                else (self.op.A, self.op.a)
-            )
+            lo, hi = self.policy
+            tpos = t >= 0
             w_rad = np.where(u2 >= 0, lo, hi)
-            w_tan = np.where(t >= 0, lo, hi)
+            w_tan = np.where(tpos, lo, hi)
         else:
+            tpos = None
             w_rad, w_tan = self.w_rad, self.w_tan
         nm1 = self.N - 1
         if self.alpha == 0.0:
-            malpha = None
             if nm1 == 0:
                 res = w_rad * u2
-            elif np.isscalar(w_rad) and w_rad == w_tan:
+            elif w_rad is w_tan:  # isotropic weight
                 if nm1 != 1:
                     res = t * nm1
                     res += u2
@@ -312,24 +340,30 @@ class _Driver:
             res -= g
             if self.b is not None:
                 res += self.b * u1
-        else:
-            if self.delta_override is not None:
-                delta = self.delta_override
-            else:
-                delta = 1e-8 * (1.0 + _supabs(v) / self.grid.R)
-            m = gradient_floor(np.abs(u1), delta)
-            malpha = m**self.alpha
-            P = w_rad * u2 + nm1 * (w_tan * t) if nm1 else w_rad * u2
-            if self.b is not None:
-                P += self.b * u1
-            res = malpha * P + self.c_eff * signed_power(v, self.alpha) - g
-            return res, (u1, u2, t, malpha, w_rad, w_tan, m, P, delta)
-        return res, (u1, u2, t, malpha, w_rad, w_tan)
+            return res, (u1, u2, t, tpos, w_rad, w_tan, None)
+        au1 = np.abs(u1)
+        vsup = _supabs(v)
+        delta = self.delta_override
+        if delta is None:
+            delta = 1e-8 * (1.0 + vsup / self.grid.R)
+        m = gradient_floor(au1, delta)
+        malpha = m**self.alpha
+        P = w_rad * u2 + nm1 * (w_tan * t) if nm1 else w_rad * u2
+        if self.b is not None:
+            P += self.b * u1
+        res = malpha * P + self.c_eff * signed_power(v, self.alpha) - g
+        return res, (u1, u2, t, tpos, w_rad, w_tan, malpha, m, P, delta, au1, vsup)
 
     # -- frozen linearization ----------------------------------------------
 
+    def _offdiag(self, diff, adv):
+        """Coefficients of v_{i-1} and v_{i+1} in row i (lower, upper) for a
+        diffusion band ``diff`` and an advection band ``adv``, before the
+        Neumann boundary rows."""
+        return diff - adv, diff + adv
+
     def _bands(self, v, aux):
-        """Tridiagonal bands of the linearized operator.
+        """Tridiagonal bands of the linearized operator at the iterate v.
 
         For alpha = 0 this is the frozen-coefficient operator L with
         L v = G(v) exactly (which makes the large-dt limit a policy
@@ -337,56 +371,38 @@ class _Driver:
         gradient-factor derivative alpha m^{alpha-1} sign(u') P that
         dominates near degenerate nodes.
         """
-        u1, u2, t, malpha, w_rad, w_tan = aux[:6]
-        n, h, N = self.n, self.h, self.N
-        w_rad_arr = np.broadcast_to(np.asarray(w_rad, dtype=float), (n,))
-        w_tan_arr = np.broadcast_to(np.asarray(w_tan, dtype=float), (n,))
+        u1, _, _, tpos, w_rad, w_tan, malpha = aux[:7]
+        h2 = self.h * self.h
+        adv = self.adv[0] if tpos is None else np.where(tpos, *self.adv)
         if malpha is None:
-            diff = w_rad_arr / (h * h)
-            adv = np.zeros(n)
-            adv[1:-1] = w_tan_arr[1:-1] * ((N - 1) / (2.0 * h)) * self.inv_r
-            if self.b is not None:
-                adv[1:-1] += self.b[1:-1] / (2.0 * h)
-            z = self.c_eff
+            diff = w_rad / h2
+            z = self.zc
             m0 = mn = 1.0
         else:
-            m, P, delta = aux[6], aux[7], aux[8]
-            diff = malpha * w_rad_arr / (h * h)
-            adv = np.zeros(n)
-            adv[1:-1] = w_tan_arr[1:-1] * ((N - 1) / (2.0 * h)) * self.inv_r
-            if self.b is not None:
-                adv[1:-1] += self.b[1:-1] / (2.0 * h)
-            adv[1:-1] *= malpha[1:-1]
-            a1 = np.abs(u1[1:-1])
-            dm = np.where(a1 >= delta, np.sign(u1[1:-1]), u1[1:-1] / delta)
-            adv[1:-1] += (
-                self.alpha
-                * (malpha[1:-1] / m[1:-1])
-                * dm
-                * P[1:-1]
-                / (2.0 * h)
-            )
+            m, P, delta, au1, vsup = aux[7:]
+            diff = malpha * w_rad / h2
+            dm = np.where(au1 >= delta, np.sign(u1), u1 / delta)
+            adv = adv * malpha
+            adv += self.alpha * (malpha / m) * dm * P / (2.0 * self.h)
             # zero-order Jacobian (alpha+1) c |v|^alpha, floored away from the
             # |v| = 0 singularity; any negative surrogate is admissible here
-            vfloor = np.maximum(np.abs(v), 1e-6 * (1.0 + _supabs(v)))
-            z = (self.alpha + 1.0) * self.c_eff * vfloor**self.alpha
+            z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** self.alpha
             m0, mn = malpha[0], malpha[-1]
-        lower = diff - adv  # coefficient of v_{i-1}, valid at i = 1..n-1
-        upper = diff + adv  # coefficient of v_{i+1}, valid at i = 0..n-2
+        lower, upper = self._offdiag(diff, adv)
         diag = -2.0 * diff + z
-        c0 = m0 * (w_rad_arr[0] + (N - 1) * w_tan_arr[0]) * 2.0 / (h * h)
-        diag[0] = -c0 + z[0] if isinstance(z, np.ndarray) else -c0 + z
+        c0 = m0 * (w_rad[0] + (self.N - 1) * w_tan[0]) * 2.0 / h2
+        diag[0] = -c0 + z[0]
         upper[0] = c0
-        cn = mn * w_rad_arr[-1] * 2.0 / (h * h)
-        diag[-1] = (-cn + z[-1]) if isinstance(z, np.ndarray) else -cn + z
+        cn = mn * w_rad[-1] * 2.0 / h2
+        diag[-1] = -cn + z[-1]
         lower[-1] = cn
         return lower[1:], diag, upper[:-1]
 
     def _pattern(self, aux):
         if not self.sign_weights:
             return b"const"
-        u2, t = aux[1], aux[2]
-        return np.concatenate([(u2 >= 0), (t >= 0)]).tobytes()
+        u2, tpos = aux[1], aux[3]
+        return np.concatenate([(u2 >= 0), tpos]).tobytes()
 
     def _default_dt0(self, u1):
         _, Aeff = self.op.ellipticity_bounds()
@@ -427,7 +443,10 @@ class _Driver:
         Step acceptance and the dt policy (halve on increase, grow 1.1x on
         decrease) use the Euclidean residual norm as merit: it tolerates the
         single-node flips the degenerate gradient factor produces, and since
-        sup <= l2 the sup-norm convergence test is only taken earlier.
+        sup <= l2 the sup-norm convergence test is only taken earlier.  The
+        bands are built once per accepted iterate and reused by the steps
+        rejected from it, where only dt changes; each step is one LAPACK
+        gtsv solve of (I - dt L) du = dt * residual.
         Returns (v, res, aux, rs, steps, dt_used, bound_violation); stops on
         a stall (too many consecutive rejected steps), on the step budget, or
         on an iterate escaping past U_max.
@@ -439,12 +458,17 @@ class _Driver:
         steps = 0
         rejects = 0
         bound_violation = False
-        merit = float(np.sqrt(res @ res))
+        merit = math.sqrt(res @ res)
         best = (v, res, aux, rs)
+        bands = None
         while steps < budget and rs > tol:
-            if _supabs(v) > opts.U_max:
-                bound_violation = True
-                break
+            if bands is None:
+                # sup|v| is in aux for alpha != 0
+                vsup = aux[-1] if self.alpha != 0.0 else _supabs(v)
+                if vsup > opts.U_max:
+                    bound_violation = True
+                    break
+                lower, diag, upper = bands = self._bands(v, aux)
             forced = False
             if rejects > opts.max_rejects:
                 # the merit landscape has a local minimum away from the
@@ -456,22 +480,22 @@ class _Driver:
                 rejects = 0
                 dt = DT_MAX
                 forced = True
-            try:
-                lower, diag, upper = self._bands(v, aux)
-                factor = _TriFactor(-dt * lower, 1.0 - dt * diag, -dt * upper)
-                v_new = v + factor.solve(dt * res)
-            except np.linalg.LinAlgError:
-                v_new = None
-            if v_new is None:
+            # the four arrays are temporaries, so LAPACK may overwrite them
+            *_, du, info = _gtsv(
+                -dt * lower, 1.0 - dt * diag, -dt * upper, dt * res, 1, 1, 1, 1
+            )
+            if info != 0:
                 merit_new = math.inf
             else:
+                v_new = v + du
                 res_new, aux_new = self.residual(g, v_new)
-                merit_new = float(np.sqrt(res_new @ res_new))
+                merit_new = math.sqrt(res_new @ res_new)
             if not (merit_new < merit) and not (forced and math.isfinite(merit_new)):
                 dt *= DT_SHRINK
                 rejects += 1
                 continue
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
+            bands = None
             rs = _supabs(res)
             if rs < best[3]:
                 best = (v, res, aux, rs)
@@ -483,31 +507,6 @@ class _Driver:
         if rs > best[3]:
             v, res, aux, rs = best
         return v, res, aux, rs, steps, dt_used, bound_violation
-
-    def _root_rescue(self, g, v):
-        """Trust-region root solve (MINPACK dogleg) from the current iterate.
-
-        Last-resort globalization for landscapes where merit-monotone
-        stepping traps; only worthwhile at desk scale (dense Jacobian).
-        """
-        from scipy.optimize import root
-
-        def fun(x):
-            res, _ = self.residual(g, x)
-            return res
-
-        def jac(x):
-            _, aux = self.residual(g, x)
-            lower, diag, upper = self._bands(x, aux)
-            J = np.diag(diag)
-            J += np.diag(lower, -1)
-            J += np.diag(upper, 1)
-            return J
-
-        sol = root(fun, v, jac=jac, method="hybr", options={"xtol": 1e-13})
-        if np.all(np.isfinite(sol.x)):
-            return sol.x
-        return v
 
     def solve(self, g, v0, opts, res0=None, aux0=None):
         """Drive the residual below opts.tol from the initial state v0.
@@ -543,7 +542,8 @@ class _Driver:
         if rs > tol and self.alpha != 0.0 and not bound_violation:
             # degenerate-gradient rescue: re-solve with a large gradient floor
             # (uniformly elliptic relaxation), shrink it geometrically back to
-            # the true regularization, then polish with the watchdog armed
+            # the true regularization, then polish with the watchdog armed,
+            # and once more from a fresh dt
             scale = 1.0 + _supabs(g)
             for stage in range(9):
                 if iterations >= opts.max_iter:
@@ -563,23 +563,11 @@ class _Driver:
             self.delta_override = None
             res, aux = self.residual(g, v)
             rs = _supabs(res)
-            if rs > tol and not bound_violation and iterations < opts.max_iter:
-                v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                    g, v, res, aux, rs, tol, opts,
-                    opts.max_iter - iterations, self.ws.dt, watchdogs=3,
-                )
-                iterations += steps
-            if rs > tol and not bound_violation and self.n <= 4096:
-                v_try = self._root_rescue(g, v)
-                res_try, aux_try = self.residual(g, v_try)
-                rs_try = _supabs(res_try)
-                if rs_try < rs:
-                    v, res, aux, rs = v_try, res_try, aux_try, rs_try
-                    iterations += 1
-                if rs > tol and iterations < opts.max_iter:
+            for dt_start, watchdogs in ((self.ws.dt, 3), (None, 2)):
+                if rs > tol and not bound_violation and iterations < opts.max_iter:
                     v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
                         g, v, res, aux, rs, tol, opts,
-                        opts.max_iter - iterations, None, watchdogs=2,
+                        opts.max_iter - iterations, dt_start, watchdogs=watchdogs,
                     )
                     iterations += steps
 

@@ -216,6 +216,7 @@ def test_sweep_rows_follow_tuple_order_single_worker(tmp_path):
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.3, -0.2, 0.1]
+    assert all(field != "None" for line in lines for field in line.split(","))
 
 
 def test_command_mismatch_exits_3(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import eigenball as eb
-from eigenball.solver import Verdict
+from eigenball import solver
+from eigenball.solver import Verdict, _Driver
 
 from conftest import nested_solve
 
@@ -255,3 +256,81 @@ def test_workspace_reuse_is_equivalent():
                               eb.SolveOptions(workspace=ws))
     b = eb.monotone_iteration(LAP, coeff, 0.5, None, g)
     assert np.array_equal(a.final.values, b.final.values)
+
+
+# ------------------------------- step kernel ---------------------------------
+
+STEP_OPERATORS = {
+    "pucci_minus_a+0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5),
+    "pucci_minus_a-0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, -0.5),
+    "pucci_plus_a+0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, 0.5),
+    "pucci_plus_a-0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5),
+    "p_laplacian_p3": eb.EllipticOperator.p_laplacian(3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_OPERATORS))
+def test_bands_match_finite_difference_jacobian(name):
+    # alpha != 0: the bands are the Jacobian of the residual, drift included
+    n = 51
+    g = eb.build_grid(1.0, 2, n)
+    r = g.nodes
+    driver = _Driver(STEP_OPERATORS[name], g, np.full(n, 0.5), -1.0 - r**2)
+    data = np.zeros(n)
+    v = 2.0 + np.cos(np.pi * r)
+    _, aux = driver.residual(data, v)
+    lower, diag, upper = driver._bands(v, aux)
+    eps = 1e-6
+    jac = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        plus, _ = driver.residual(data, v + e)
+        minus, _ = driver.residual(data, v - e)
+        jac[:, j] = (plus - minus) / (2 * eps)
+    # interior rows with |u'| above the gradient floor, away from the Pucci
+    # switches u'' = 0 and u'/r = 0 where the residual has a kink
+    u1, u2, t = aux[:3]
+    rows = np.flatnonzero((np.abs(u1) > 1e-3) & (np.abs(u2) > 0.1) & (np.abs(t) > 0.1))
+    rows = rows[(rows > 0) & (rows < n - 1)]
+    assert rows.size >= 40
+    bands = np.stack([lower[rows - 1], diag[rows], upper[rows]])
+    fd = np.stack([jac[rows, rows - 1], jac[rows, rows], jac[rows, rows + 1]])
+    assert np.abs(bands - fd).max() <= 1e-6 * np.abs(bands).max()
+    outside = jac[rows].copy()
+    for k in (-1, 0, 1):
+        outside[np.arange(rows.size), rows + k] = 0.0
+    assert not outside.any()
+
+
+def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
+    # a rejected step only halves dt, so it must not rebuild the bands: within
+    # one pseudo-time run every _bands call is on a new (iterate, aux) pair
+    calls = []
+    runs = [0]
+    attempts = [0]
+    ptc, bands, gtsv = _Driver._ptc, _Driver._bands, solver._gtsv
+
+    def counted_ptc(self, *args, **kwargs):
+        runs[0] += 1
+        return ptc(self, *args, **kwargs)
+
+    def counted_bands(self, v, aux):
+        calls.append((runs[0], v, aux))
+        return bands(self, v, aux)
+
+    def counted_gtsv(*args):
+        attempts[0] += 1
+        return gtsv(*args)
+
+    monkeypatch.setattr(_Driver, "_ptc", counted_ptc)
+    monkeypatch.setattr(_Driver, "_bands", counted_bands)
+    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
+    g = eb.build_grid(1.0, 2, 201)
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
+    )
+    rep = eb.solve_neumann(STEP_OPERATORS["pucci_minus_a-0.5"], coeff, 0.0, None, g)
+    assert attempts[0] > rep.iterations  # some steps were rejected
+    keys = [(run, id(v), id(aux)) for run, v, aux in calls]
+    assert len(set(keys)) == len(keys)
