@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import RadialGrid
-from .operators import EllipticOperator, sample_profile
+from .operators import EllipticOperator, eval_radial_F, sample_profile
 
 __all__ = [
     "SupersolutionParams",
@@ -497,7 +497,6 @@ def verify(
         keep &= np.abs(r - bp) > grid.h
     rk = r[keep]
     sweep_op = EllipticOperator.pucci_plus(p.a, p.A, p.alpha)
-    from .operators import eval_radial_F  # local import avoids cycle at load
 
     vv = v.value(rk)
     v1 = v.deriv1(rk)

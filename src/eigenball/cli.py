@@ -247,7 +247,7 @@ def _solver_options(cfg: dict) -> SolveOptions:
 def _eigen_options(cfg: dict) -> EigenOptions:
     s = cfg.get("solver", {})
     e = cfg.get("eigen", {})
-    return EigenOptions(
+    opts = EigenOptions(
         bracket_width=(
             float(e["bracket_width"]) if "bracket_width" in e else None
         ),
@@ -260,6 +260,10 @@ def _eigen_options(cfg: dict) -> EigenOptions:
         inner_max_iter=int(s.get("max_iter", 20000)),
         U_max=float(s.get("U_max", 1e6)),
     )
+    opts.resolved_width(0.0)  # rejects a bracket_width <= 0
+    if not opts.g_scale > 0:
+        raise ValueError(f"g_scale must be > 0, got {opts.g_scale!r}")
+    return opts
 
 
 def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
@@ -284,11 +288,8 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
             values = _require(p, "values", "sweep.parameters")
             if not isinstance(values, list) or not values:
                 raise ConfigError("sweep: each parameter needs a non-empty values list")
-        # validate the base config once with the first tuple substituted
-        probe = copy.deepcopy(base)
-        for p in params:
-            _set_path(probe, p["path"], p["values"][0])
-        _validate_leaf(probe, base_dir)
+        for overrides in _sweep_tuples(cfg):
+            _validate_leaf(_sweep_leaf(cfg, overrides), base_dir)
     else:
         _validate_leaf(cfg, base_dir)
     return cfg
@@ -327,6 +328,17 @@ def _validate_leaf(cfg: dict, base_dir: Path) -> None:
                     )
                 continue
             _parse_profile(spec, base_dir, None, where=f"coefficients.{key}")
+    try:
+        if command == "solve":
+            _solver_options(cfg)
+            float(cfg.get("solver", {}).get("lambda", 0.0))
+        elif command == "eigen":
+            _eigen_options(cfg)
+            sign = cfg.get("eigen", {}).get("sign", "up")
+            if sign not in ("up", "down", "both"):
+                raise ValueError(f"sign must be up/down/both, got {sign!r}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{command}: {e}") from None
     if command == "solve" and "lambda" not in cfg.get("solver", {}):
         raise ConfigError("solver: solve command needs solver.lambda")
 
@@ -397,8 +409,6 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
         coeff = _coefficients(cfg, base_dir, band_params)
         opts = _eigen_options(cfg)
         sign = cfg.get("eigen", {}).get("sign", "up")
-        if sign not in ("up", "down", "both"):
-            raise ConfigError(f"eigen: sign must be up/down/both, got {sign!r}")
         payload = {"config": public_cfg}
         summary = {}
         if sign in ("up", "both"):
@@ -462,28 +472,37 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
     raise ConfigError(f"config: unknown command {command!r}")
 
 
-def _sweep_worker(args):
-    cfg, overrides = args
+def _sweep_leaf(cfg: dict, overrides) -> dict:
+    """The config of one sweep point: the base with its overrides applied."""
     leaf = copy.deepcopy(cfg["sweep"]["base"])
     for path, value in overrides:
         _set_path(leaf, path, value)
     leaf["seed"] = cfg["seed"]
     leaf["_base_dir"] = cfg.get("_base_dir", ".")
+    return leaf
+
+
+def _sweep_worker(args):
+    cfg, overrides = args
     try:
-        code, summary = _execute(leaf, None)
+        code, summary = _execute(_sweep_leaf(cfg, overrides), None)
         status = "ok" if code == 0 else "reject"
     except _COMPUTE_ERRORS as e:
         status, summary = "error", {"error": str(e)}
     return status, summary
 
 
+def _sweep_tuples(cfg: dict) -> list:
+    """The (path, value) overrides of every sweep point, in row order."""
+    params = cfg["sweep"]["parameters"]
+    combos = itertools.product(*(p["values"] for p in params))
+    return [[(p["path"], v) for p, v in zip(params, combo)] for combo in combos]
+
+
 def _run_sweep(cfg: dict, out_dir: Path) -> int:
     sw = cfg["sweep"]
     paths = [p["path"] for p in sw["parameters"]]
-    grids = [p["values"] for p in sw["parameters"]]
-    tuples = [
-        list(zip(paths, combo)) for combo in itertools.product(*grids)
-    ]
+    tuples = _sweep_tuples(cfg)
     workers = int(sw.get("workers", 0)) or (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tuples)))
 

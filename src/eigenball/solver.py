@@ -25,7 +25,8 @@ back to the true one, then polished by further pseudo-time runs.
 
 whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
-(direction="down") they decrease.
+(direction="down") they decrease.  ``eigen.solve_general`` runs the same
+loop (``_shifted_iterates``) from the negative envelope instead of 0.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from scipy.linalg import get_lapack_funcs
 
 from .grid import GridFunction, RadialGrid, derivative_arrays
 from .operators import (
-    ANISOTROPIC,
-    P_LAPLACIAN,
-    PUCCI_MINUS,
-    PUCCI_PLUS,
     CoefficientField,
     EllipticOperator,
     gradient_floor,
@@ -126,7 +123,8 @@ class _TriFactor:
 
 @dataclass
 class SolveOptions:
-    """Options for ``solve_neumann`` and ``monotone_iteration``.
+    """Options for ``solve_neumann``, ``monotone_iteration`` and
+    ``solve_general``.
 
     ``tol`` is an absolute sup-norm residual (solve) or sup-norm change
     (iteration) tolerance.  ``dt0`` overrides the CFL-style initial pseudo
@@ -264,27 +262,23 @@ class _Driver:
         self.r = grid.nodes
         self.N = grid.N_dim
         self.inv_r = 1.0 / grid.nodes[1:-1]
-        self.sign_weights = op.kind in (PUCCI_MINUS, PUCCI_PLUS) and op.a != op.A
         self.delta_override = None
         # zero-order band factor (alpha + 1) c; exactly c_eff for alpha = 0
         self.zc = (self.alpha + 1.0) * c_eff
+        # weights where a Hessian eigenvalue is >= 0 and where it is < 0
+        pos = op.second_order_weights(1.0, 1.0, self.r)
+        neg = op.second_order_weights(-1.0, -1.0, self.r)
+        self.sign_weights = not all(map(np.array_equal, pos, neg))
         if self.sign_weights:
-            # Pucci weights where the second derivative is >= 0 / < 0
-            self.policy = (op.a, op.A) if op.kind == PUCCI_MINUS else (op.A, op.a)
+            # Pucci: one scalar weight per sign, the same for both eigenvalues
+            self.policy = (float(pos[0]), float(neg[0]))
             self.w_rad = self.w_tan = None
             tangential = [np.full(self.n, w) for w in self.policy]
         else:
-            if op.kind == P_LAPLACIAN:
-                w_rad, w_tan = op.p - 1.0, 1.0
-            elif op.kind == ANISOTROPIC:
-                b1 = sample_profile(op.b1_profile, self.r)
-                b2 = sample_profile(op.b2_profile, self.r)
-                w_rad, w_tan = b1 + op.c0 * b2 * b2, b1
-            else:
-                w_rad = w_tan = op.a
+            w_rad, w_tan = pos
             # one shared array marks an isotropic weight (residual short form)
             self.w_rad = np.full(self.n, w_rad)
-            isotropic = np.isscalar(w_rad) and w_rad == w_tan
+            isotropic = np.ndim(w_rad) == 0 and w_rad == w_tan
             self.w_tan = self.w_rad if isotropic else np.full(self.n, w_tan)
             tangential = [self.w_tan]
         # advection band w_tan (N-1)/(2h r) + b/(2h), one array per tangential
@@ -582,6 +576,50 @@ def _initial_array(opts, n):
     return np.asarray(opts.initial, dtype=float).copy()
 
 
+def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
+    """The shifted fixed point (module docstring) from u0.
+
+    Yields ``(u_k, sup|u_k|, inner_tol)`` for at most ``opts.max_iter``
+    steps.  The inner tolerance is tol/10 scaled by a bound on the inner
+    data, so it stays meaningful when the iterates grow large, and never
+    below the stencil's rounding floor; an inner solve that misses it
+    raises ``InnerSolveError``.
+    """
+    c_inf = float(np.max(np.abs(c)))
+    factor = lam + c_inf + 1.0
+    g_sup = float(np.max(np.abs(g)))
+    driver = _Driver(op, grid, b, c - c_inf - 1.0, workspace)
+    # attainable residual floor of the inner solves, per unit of ||u||
+    eps_floor = _rounding_floor(op, grid, c_inf)
+    inner = SolveOptions(max_iter=opts.inner_max_iter)
+    u = u0
+    sup = _supabs(u)
+    res = aux = g_prev = None
+    for step in range(1, opts.max_iter + 1):
+        g_inner = g - factor * signed_power(u, op.alpha)
+        if res is not None:
+            # only the data changed since the last iterate, so the stored
+            # residual shifts by the data difference exactly and the
+            # derivative data (aux) at u is still valid
+            res = res + (g_prev - g_inner)
+        else:
+            res, aux = driver.residual(g_inner, u)
+        g_prev = g_inner
+        # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
+        # bound is enough for tolerance/limit scaling
+        g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
+        inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
+        inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
+        u, res, aux, rs, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        if not ok:
+            raise InnerSolveError(
+                step,
+                f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",
+            )
+        sup = _supabs(u)
+        yield u, sup, inner.tol
+
+
 # ------------------------------- public API ---------------------------------
 
 
@@ -679,9 +717,9 @@ def monotone_iteration(
     nonnegative iterates; direction="down" requires g >= 0 and mirrors to
     nonincreasing nonpositive iterates.  Each inner problem has zero-order
     coefficient c - |c|_inf - 1 <= -1, so its solve precondition holds by
-    construction.  Inner tolerances are tol/10, scaled by the inner
-    right-hand-side magnitude so they stay meaningful above roundoff when
-    the iterates grow large.
+    construction.  Inner tolerances are tol/10, scaled by a bound on the
+    inner right-hand side so they stay meaningful when the iterates grow
+    large, and never below the stencil's rounding floor.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):
@@ -701,64 +739,25 @@ def monotone_iteration(
             f"min g = {np.min(g):.6g}"
         )
 
-    c_inf = float(np.max(np.abs(c)))
-    c_shift = c - c_inf - 1.0
-    factor = lam + c_inf + 1.0
-    g_sup = float(np.max(np.abs(g)))
-    driver = _Driver(op, grid, b, c_shift, opts.workspace)
-    tol_base = opts.tol / 10.0
-    inv_ap1 = 1.0 / (op.alpha + 1.0)
-    linear_zero_order = op.alpha == 0.0
-    # attainable residual floor of the inner solves, per unit of ||u||
-    eps_floor = _rounding_floor(op, grid, c_inf)
-
     u = np.zeros(grid.n)
     sup_norms = [0.0]
     min_values = [0.0]
     flags = []
     verdict = Verdict.MAX_ITER
-    res = aux = None
-    g_prev = None
-
-    inner = SolveOptions(max_iter=opts.inner_max_iter)
-    for step in range(1, opts.max_iter + 1):
-        if linear_zero_order:
-            g_inner = g - factor * u
-        else:
-            g_inner = g - factor * signed_power(u, op.alpha)
-        if res is not None:
-            # only the data changed since the last accepted iterate, so the
-            # stored residual shifts by the data difference exactly and the
-            # derivative data (aux) at u is still valid
-            res = res + (g_prev - g_inner)
-        else:
-            res, aux = driver.residual(g_inner, u)
-        g_prev = g_inner
-        # |g_inner|_inf <= |g|_inf + factor * sup^{alpha+1}; the analytic
-        # bound is enough for tolerance/limit scaling
-        g_scale = max(1.0, g_sup + abs(factor) * sup_norms[-1] ** (op.alpha + 1.0))
-        inner.tol = max(tol_base * g_scale, eps_floor * (1.0 + sup_norms[-1]))
-        inner.U_max = 10.0 * g_scale**inv_ap1 + 10.0
-        u_new, res, aux, rs, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
-        if not ok:
-            raise InnerSolveError(
-                step,
-                f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",
-            )
+    iterates = _shifted_iterates(op, grid, b, c, lam, g, u, opts, opts.workspace)
+    for u_new, sup, inner_tol in iterates:
         dvec = u_new - u
         dmin = float(dvec.min())
         dmax = float(dvec.max())
-        slack = 10.0 * inner.tol
+        slack = 10.0 * inner_tol
         if direction == "up":
             flags.append(dmin >= -slack)
         else:
             flags.append(dmax <= slack)
         change = max(dmax, -dmin)
         u = u_new
-        umax = float(u.max())
-        umin = float(u.min())
-        sup_norms.append(max(umax, -umin))
-        min_values.append(umin)
+        sup_norms.append(sup)
+        min_values.append(float(u.min()))
         if sup_norms[-1] > opts.U_max:
             verdict = Verdict.UNBOUNDED
             break

@@ -76,6 +76,56 @@ def test_missing_lambda_exits_3(tmp_path):
     assert code == 3
 
 
+BASE_EIGEN = {
+    "command": "eigen",
+    "operator": {"kind": "pucci_minus", "a": 1.0, "A": 1.0, "alpha": 0.0},
+    "coefficients": {"c": "const:-1"},
+    "grid": {"R": 1.0, "N_dim": 2, "n": 51},
+    "eigen": {"sign": "up"},
+    "seed": 0,
+}
+
+
+def _with(base, path, value):
+    cfg = json.loads(json.dumps(base))
+    section, key = path.split(".")
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _with(BASE_EIGEN, "eigen.bracket_width", 0),
+        _with(BASE_EIGEN, "eigen.bracket_width", "abc"),
+        _with(BASE_EIGEN, "eigen.g_scale", 0),
+        _with(BASE_EIGEN, "eigen.sign", "sideways"),
+        dict(BASE_EIGEN, eigen=["up"]),
+        _with(BASE_SOLVE, "solver.tol", "x"),
+        dict(BASE_SOLVE, solver=5),
+        {
+            "command": "sweep",
+            "sweep": {
+                "base": BASE_SOLVE,
+                "parameters": [{"path": "grid.n", "values": [51, 2]}],
+                "workers": 1,
+            },
+            "seed": 0,
+        },
+    ],
+    ids=[
+        "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
+        "solver-int", "sweep-grid-n",
+    ],
+)
+def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert not out.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_precondition_failure_exits_2_with_diagnostics(tmp_path):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["coefficients"]["c"] = "const:1"  # c + lambda >= 0

@@ -160,9 +160,19 @@ def test_solve_general_sign_changing_data():
     samples = g_profile(GRID.nodes)
     assert samples.min() < 0.0 < samples.max()  # data genuinely changes sign
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=g_profile)
-    rep = eb.solve_general(LAP, coeff, 0.0, None, GRID)
-    assert rep.converged and rep.sandwich_ok
-    assert rep.residual_sup <= 1e-9
+    # one operator per second-order weight path: the isotropic short form,
+    # the Pucci sign weights, and separate radial/tangential arrays
+    ops = {
+        "laplacian": LAP,
+        "pucci_minus": eb.EllipticOperator.pucci_minus(1.0, 2.0),
+        "anisotropic": eb.EllipticOperator.anisotropic(
+            1.0, 2.0, q=2.0, c0=0.5, b1_profile=1.25, b2_profile=0.5
+        ),
+    }
+    for name, op in ops.items():
+        rep = eb.solve_general(op, coeff, 0.0, None, GRID)
+        assert rep.converged and rep.sandwich_ok, name
+        assert rep.residual_sup <= 1e-9, name
 
 
 def test_solve_general_rejects_shift_above_threshold():

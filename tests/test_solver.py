@@ -48,6 +48,46 @@ def test_residual_vanishes_on_manufactured_solution_every_grid(mfg2d):
         assert res.sup_norm() < 30.0 * g.h**2
 
 
+WEIGHT_OPERATORS = {
+    "laplacian": LAP,
+    **{
+        f"{kind}_a{alpha:+g}": getattr(eb.EllipticOperator, kind)(1.0, 2.0, alpha)
+        for kind in ("pucci_minus", "pucci_plus")
+        for alpha in (0.0, 0.5, -0.5)
+    },
+    "p_laplacian_p2": eb.EllipticOperator.p_laplacian(2.0),
+    "p_laplacian_p3": eb.EllipticOperator.p_laplacian(3.0),
+    "anisotropic": eb.EllipticOperator.anisotropic(
+        1.0, 2.0, q=2.5, c0=0.5,
+        b1_profile=lambda r: 1.5 + 0.25 * np.cos(np.pi * r),
+        b2_profile=lambda r: 0.5 * r,
+    ),
+}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("name", sorted(WEIGHT_OPERATORS))
+def test_residual_matches_pointwise_operator(name, N):
+    # the solver's second-order weights against the operator's own pointwise
+    # evaluation, node by node, on the discrete derivatives of a state with
+    # both Hessian-eigenvalue signs
+    op = WEIGHT_OPERATORS[name]
+    g = eb.build_grid(1.0, N, 101)
+    r = g.nodes
+    coeff = eb.CoefficientField(b=lambda r: 0.3 * r, c=lambda r: -1.0 - r**2, g=0.0)
+    u = eb.GridFunction(g, 2.0 + np.cos(np.pi * r) + 0.3 * np.sin(2.0 * np.pi * r))
+    res = eb.residual(op, coeff, 0.0, None, u).values
+    u1, u2 = (d.values for d in eb.discrete_derivatives(u))
+    tangential = np.empty_like(r)
+    tangential[1:-1] = u1[1:-1] / r[1:-1]
+    tangential[0], tangential[-1] = u2[0], 0.0
+    delta = 1e-8 * (1.0 + u.sup_norm() / g.R)
+    ref = eb.eval_radial_G(
+        op, coeff, r, u.values, u1, u2, 0.0, N, delta=delta, tangential=tangential
+    )
+    assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # ------------------------------ solve_neumann --------------------------------
 
 
