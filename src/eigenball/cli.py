@@ -266,6 +266,13 @@ def _eigen_options(cfg: dict) -> EigenOptions:
     return opts
 
 
+def _check_samples(cfg: dict) -> int:
+    samples = int(cfg.get("check", {}).get("samples", 10000))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    return samples
+
+
 def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -288,6 +295,12 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
             values = _require(p, "values", "sweep.parameters")
             if not isinstance(values, list) or not values:
                 raise ConfigError("sweep: each parameter needs a non-empty values list")
+        try:
+            int(sw.get("workers", 0))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"sweep: workers must be an integer, got {sw.get('workers')!r}"
+            ) from None
         for overrides in _sweep_tuples(cfg):
             _validate_leaf(_sweep_leaf(cfg, overrides), base_dir)
     else:
@@ -317,6 +330,8 @@ def _validate_leaf(cfg: dict, base_dir: Path) -> None:
         # execution-time verdict, not a configuration error
         _check_certify_fields(cfg)
     coeffs = cfg.get("coefficients", {})
+    if not isinstance(coeffs, dict):
+        raise ConfigError("coefficients: section must be an object")
     for key in ("b", "c", "g"):
         if key in coeffs:
             spec = coeffs[key]
@@ -337,6 +352,8 @@ def _validate_leaf(cfg: dict, base_dir: Path) -> None:
             sign = cfg.get("eigen", {}).get("sign", "up")
             if sign not in ("up", "down", "both"):
                 raise ValueError(f"sign must be up/down/both, got {sign!r}")
+        elif command == "check-operator":
+            _check_samples(cfg)
     except (AttributeError, TypeError, ValueError) as e:
         raise ConfigError(f"{command}: {e}") from None
     if command == "solve" and "lambda" not in cfg.get("solver", {}):
@@ -447,7 +464,7 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
     if command == "check-operator":
         grid = _parse_grid(cfg["grid"])
         op = _parse_operator(cfg["operator"])
-        samples = int(cfg.get("check", {}).get("samples", 10000))
+        samples = _check_samples(cfg)
         seed = cfg["seed"]
         hom = check_homogeneity(op, samples, N_dim=grid.N_dim, seed=seed)
         ell = check_ellipticity(op, samples, N_dim=grid.N_dim, seed=seed + 1)

@@ -14,9 +14,17 @@ changes dt and reuses it.  Since the frozen operator reproduces the
 nonlinear one exactly at the current iterate, large dt steps degenerate
 into Picard/Howard policy iteration; for gradient exponent alpha = 0 the
 policy steps are taken directly, with the factorization cached while the
-eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian,
-and a solve that stalls is continued from a large gradient floor shrunk
-back to the true one, then polished by further pseudo-time runs.
+eigenvalue sign pattern is unchanged.
+
+For alpha != 0 the gradient factor is in flux form: w = |s|^alpha s on half
+nodes, s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes,
+so w vanishes exactly at r = 0 and r = R, where the solution is only
+C^{1,beta}.  Row i weighs the radial eigenvalue D/(alpha+1), D the flux
+difference over h, and the tangential one M/r_i, M the mean flux (D at
+r = 0, 0 at r = R; w_{i+1/2}/r_{i+1/2} in rows near the axis where M would
+break monotonicity); the drift reads M.  L is the Jacobian, a watchdog
+forces Newton steps through stalls, and a solve that misses tol gets one
+more run from a fresh dt.
 
 ``monotone_iteration`` runs the shifted-problem fixed point
 
@@ -229,24 +237,9 @@ class _Driver:
     """
 
     __slots__ = (
-        "op",
-        "grid",
-        "b",
-        "c_eff",
-        "zc",
-        "ws",
-        "alpha",
-        "n",
-        "h",
-        "r",
-        "N",
-        "inv_r",
-        "w_rad",
-        "w_tan",
-        "sign_weights",
-        "policy",
-        "adv",
-        "delta_override",
+        "op", "grid", "b", "c_eff", "zc", "ws", "alpha", "n", "h", "r", "N",
+        "inv_r", "w_rad", "w_tan", "sign_weights", "policy", "adv",
+        "tr", "tl", "bh",
     )
 
     def __init__(self, op, grid, b, c_eff, ws=None):
@@ -262,7 +255,6 @@ class _Driver:
         self.r = grid.nodes
         self.N = grid.N_dim
         self.inv_r = 1.0 / grid.nodes[1:-1]
-        self.delta_override = None
         # zero-order band factor (alpha + 1) c; exactly c_eff for alpha = 0
         self.zc = (self.alpha + 1.0) * c_eff
         # weights where a Hessian eigenvalue is >= 0 and where it is < 0
@@ -281,6 +273,24 @@ class _Driver:
             isotropic = np.ndim(w_rad) == 0 and w_rad == w_tan
             self.w_tan = self.w_rad if isotropic else np.full(self.n, w_tan)
             tangential = [self.w_tan]
+        if self.alpha != 0.0:
+            # flux form: the tangential eigenvalue (times N-1) of row i is
+            # tr w_{i+1/2} + tl w_{i-1/2}, one-sided in the rows where the
+            # mean would weigh u_{i-1} negatively under some policy
+            nm1, h = self.N - 1, self.h
+            self.tr = np.zeros(self.n)
+            self.tr[0] = nm1 / h
+            self.tr[1:-1] = (0.5 * nm1) * self.inv_r
+            self.tl = self.tr.copy()
+            self.tl[0] = -self.tr[0]
+            w_rad = min(self.policy) if self.sign_weights else self.w_rad
+            w_tan = max(self.policy) if self.sign_weights else self.w_tan
+            rows = 2.0 * np.arange(self.n) * w_rad < (self.alpha + 1.0) * nm1 * w_tan
+            rows[[0, -1]] = False
+            self.tr[rows] = nm1 / (self.r[rows] + 0.5 * h)
+            self.tl[rows] = 0.0
+            self.bh = 0.0 if self.b is None else 0.5 * self.b
+            return
         # advection band w_tan (N-1)/(2h r) + b/(2h), one array per tangential
         # weight; the end entries are never read
         self.adv = []
@@ -293,22 +303,39 @@ class _Driver:
 
     # -- residual -----------------------------------------------------------
 
-    def _tangential(self, u1, u2):
-        t = np.empty(self.n)
-        t[1:-1] = u1[1:-1] * self.inv_r
-        t[0] = u2[0]
-        t[-1] = 0.0
-        return t
-
     def residual(self, g, v):
         """Residual LHS - RHS plus the frozen data ``aux`` the bands need.
 
-        aux = (u', u'', t, t >= 0 mask, w_rad, w_tan, m^alpha); the mask is
-        None without sign weights and m^alpha None for alpha = 0.  For
-        alpha != 0 it goes on with (m, P, delta, |u'|, sup|v|).
+        For alpha = 0, aux = (u', u'', t, t >= 0 mask, w_rad, w_tan), the
+        mask None without sign weights; for alpha != 0, aux = (s, P, Q,
+        m^alpha, m, delta, sup|v|) with s the half-node slopes.
         """
+        if self.alpha != 0.0:
+            vsup = _supabs(v)
+            delta = 1e-8 * (1.0 + vsup / self.grid.R)
+            s = (v[1:] - v[:-1]) / self.h
+            m = gradient_floor(np.abs(s), delta)
+            malpha = m**self.alpha
+            w = malpha * s
+            # odd ghost fluxes w_{-1/2} = -w_{1/2}, w_{n-1/2} = -w_{n-3/2}
+            wr = np.append(w, -w[-1])
+            wl = np.concatenate(((-w[0],), w))
+            if self.sign_weights:
+                lo, hi = self.policy
+                w_rad = np.where(wr >= wl, lo, hi)
+                w_tan = np.where(self.tr * wr + self.tl * wl >= 0, lo, hi)
+            else:
+                w_rad, w_tan = self.w_rad, self.w_tan
+            # coefficients P of w_{i+1/2} and Q of w_{i-1/2} in row i
+            rad = w_rad / ((self.alpha + 1.0) * self.h)
+            P = rad + w_tan * self.tr + self.bh
+            Q = w_tan * self.tl - rad + self.bh
+            res = P * wr + Q * wl + self.c_eff * signed_power(v, self.alpha) - g
+            return res, (s, P, Q, malpha, m, delta, vsup)
         u1, u2 = derivative_arrays(v, self.h)
-        t = self._tangential(u1, u2)
+        t = np.empty(self.n)
+        t[1:-1] = u1[1:-1] * self.inv_r
+        t[0], t[-1] = u2[0], 0.0
         if self.sign_weights:
             lo, hi = self.policy
             tpos = t >= 0
@@ -318,35 +345,22 @@ class _Driver:
             tpos = None
             w_rad, w_tan = self.w_rad, self.w_tan
         nm1 = self.N - 1
-        if self.alpha == 0.0:
-            if nm1 == 0:
-                res = w_rad * u2
-            elif w_rad is w_tan:  # isotropic weight
-                if nm1 != 1:
-                    res = t * nm1
-                    res += u2
-                else:
-                    res = t + u2
-                res *= w_rad
+        if nm1 == 0:
+            res = w_rad * u2
+        elif w_rad is w_tan:  # isotropic weight
+            if nm1 != 1:
+                res = t * nm1
+                res += u2
             else:
-                res = w_rad * u2 + nm1 * (w_tan * t)
-            res += self.c_eff * v
-            res -= g
-            if self.b is not None:
-                res += self.b * u1
-            return res, (u1, u2, t, tpos, w_rad, w_tan, None)
-        au1 = np.abs(u1)
-        vsup = _supabs(v)
-        delta = self.delta_override
-        if delta is None:
-            delta = 1e-8 * (1.0 + vsup / self.grid.R)
-        m = gradient_floor(au1, delta)
-        malpha = m**self.alpha
-        P = w_rad * u2 + nm1 * (w_tan * t) if nm1 else w_rad * u2
+                res = t + u2
+            res *= w_rad
+        else:
+            res = w_rad * u2 + nm1 * (w_tan * t)
+        res += self.c_eff * v
+        res -= g
         if self.b is not None:
-            P += self.b * u1
-        res = malpha * P + self.c_eff * signed_power(v, self.alpha) - g
-        return res, (u1, u2, t, tpos, w_rad, w_tan, malpha, m, P, delta, au1, vsup)
+            res += self.b * u1
+        return res, (u1, u2, t, tpos, w_rad, w_tan)
 
     # -- frozen linearization ----------------------------------------------
 
@@ -361,33 +375,42 @@ class _Driver:
 
         For alpha = 0 this is the frozen-coefficient operator L with
         L v = G(v) exactly (which makes the large-dt limit a policy
-        iteration); otherwise it is the Jacobian, including the
-        gradient-factor derivative alpha m^{alpha-1} sign(u') P that
-        dominates near degenerate nodes.
+        iteration); otherwise it is the Jacobian of the flux form.
         """
-        u1, _, _, tpos, w_rad, w_tan, malpha = aux[:7]
-        h2 = self.h * self.h
-        adv = self.adv[0] if tpos is None else np.where(tpos, *self.adv)
-        if malpha is None:
-            diff = w_rad / h2
-            z = self.zc
-            m0 = mn = 1.0
-        else:
-            m, P, delta, au1, vsup = aux[7:]
-            diff = malpha * w_rad / h2
-            dm = np.where(au1 >= delta, np.sign(u1), u1 / delta)
-            adv = adv * malpha
-            adv += self.alpha * (malpha / m) * dm * P / (2.0 * self.h)
+        if self.alpha != 0.0:
+            # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at 1e-6 (1 + sup|v|)
+            # for alpha > 0; the derivative of the floored Phi for alpha < 0
+            s, P, Q, malpha, m, delta, vsup = aux
+            a, abs_s = self.alpha, np.abs(s)
+            if a > 0.0:
+                dphi = (a + 1.0) * np.maximum(abs_s, 1e-6 * (1.0 + vsup)) ** a
+            else:
+                q = np.where(abs_s >= delta, abs_s, s * s / delta)
+                dphi = malpha * (1.0 + a * q / m)
+            dphi /= self.h
+            # d wr/d v_{i+1} and d wl/d v_i, ghost fluxes mirrored at the ends
+            pr = P * np.append(dphi, dphi[-1])
+            ql = Q * np.concatenate(((dphi[0],), dphi))
             # zero-order Jacobian (alpha+1) c |v|^alpha, floored away from the
             # |v| = 0 singularity; any negative surrogate is admissible here
-            z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** self.alpha
-            m0, mn = malpha[0], malpha[-1]
+            z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** a
+            diag = ql - pr + z
+            upper = pr[:-1]
+            upper[0] -= ql[0]
+            lower = -ql[1:]
+            lower[-1] += pr[-1]
+            return lower, diag, upper
+        tpos, w_rad, w_tan = aux[3:]
+        h2 = self.h * self.h
+        adv = self.adv[0] if tpos is None else np.where(tpos, *self.adv)
+        diff = w_rad / h2
+        z = self.zc
         lower, upper = self._offdiag(diff, adv)
         diag = -2.0 * diff + z
-        c0 = m0 * (w_rad[0] + (self.N - 1) * w_tan[0]) * 2.0 / h2
+        c0 = (w_rad[0] + (self.N - 1) * w_tan[0]) * 2.0 / h2
         diag[0] = -c0 + z[0]
         upper[0] = c0
-        cn = mn * w_rad[-1] * 2.0 / h2
+        cn = w_rad[-1] * 2.0 / h2
         diag[-1] = -cn + z[-1]
         lower[-1] = cn
         return lower[1:], diag, upper[:-1]
@@ -509,10 +532,13 @@ class _Driver:
         ``res0``/``aux0`` may carry a residual already evaluated at v0.
         """
         v = v0
-        if res0 is not None and aux0 is not None:
-            res, aux = res0, aux0
-        else:
-            res, aux = self.residual(g, v)
+        if self.alpha > 0.0 and not v.any():
+            # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g
+            v = signed_power(g / self.c_eff, -self.alpha / (self.alpha + 1.0))
+            res0 = None
+        if res0 is None or aux0 is None:
+            res0, aux0 = self.residual(g, v)
+        res, aux = res0, aux0
         rs = _supabs(res)
         tol = opts.tol
         iterations = 0
@@ -524,46 +550,20 @@ class _Driver:
             iterations += steps
 
         if rs > tol:
+            # alpha != 0: the watchdog forces Newton steps through stalls, and
+            # a solve that still misses tol gets a polish from a fresh dt
             dt0 = opts.dt0 if opts.dt0 is not None else self.ws.dt
-            budget = opts.max_iter
-            if self.alpha != 0.0:
-                budget = min(budget, 1000)
+            watchdogs = 0 if self.alpha == 0.0 else 3
             v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                g, v, res, aux, rs, tol, opts, budget, dt0
+                g, v, res, aux, rs, tol, opts, opts.max_iter, dt0, watchdogs
             )
             iterations += steps
-
-        if rs > tol and self.alpha != 0.0 and not bound_violation:
-            # degenerate-gradient rescue: re-solve with a large gradient floor
-            # (uniformly elliptic relaxation), shrink it geometrically back to
-            # the true regularization, then polish with the watchdog armed,
-            # and once more from a fresh dt
-            scale = 1.0 + _supabs(g)
-            for stage in range(9):
-                if iterations >= opts.max_iter:
-                    break
-                self.delta_override = 10.0 ** (-stage)
-                stage_tol = max(tol, 1e-3 * scale * 10.0 ** (-stage / 2.0))
-                res, aux = self.residual(g, v)
-                rs = _supabs(res)
+            budget = opts.max_iter - iterations
+            if self.alpha != 0.0 and rs > tol and not bound_violation and budget > 0:
                 v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                    g, v, res, aux, rs, stage_tol, opts,
-                    min(opts.max_iter - iterations, 2000), self.ws.dt,
-                    watchdogs=2,
+                    g, v, res, aux, rs, tol, opts, budget, None, 2
                 )
                 iterations += steps
-                if bound_violation:
-                    break
-            self.delta_override = None
-            res, aux = self.residual(g, v)
-            rs = _supabs(res)
-            for dt_start, watchdogs in ((self.ws.dt, 3), (None, 2)):
-                if rs > tol and not bound_violation and iterations < opts.max_iter:
-                    v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                        g, v, res, aux, rs, tol, opts,
-                        opts.max_iter - iterations, dt_start, watchdogs=watchdogs,
-                    )
-                    iterations += steps
 
         return v, res, aux, rs, iterations, dt_used, rs <= tol, bound_violation
 

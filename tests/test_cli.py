@@ -86,6 +86,15 @@ BASE_EIGEN = {
 }
 
 
+BASE_CHECK = {
+    "command": "check-operator",
+    "operator": {"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.5},
+    "grid": {"R": 1.0, "N_dim": 2, "n": 51},
+    "check": {"samples": 100},
+    "seed": 0,
+}
+
+
 def _with(base, path, value):
     cfg = json.loads(json.dumps(base))
     section, key = path.split(".")
@@ -112,10 +121,22 @@ def _with(base, path, value):
             },
             "seed": 0,
         },
+        {
+            "command": "sweep",
+            "sweep": {
+                "base": BASE_SOLVE,
+                "parameters": [{"path": "grid.n", "values": [51]}],
+                "workers": "abc",
+            },
+            "seed": 0,
+        },
+        _with(BASE_CHECK, "check.samples", "x"),
+        dict(BASE_SOLVE, coefficients=["const:-1"]),
     ],
     ids=[
         "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
-        "solver-int", "sweep-grid-n",
+        "solver-int", "sweep-grid-n", "sweep-workers", "check-samples",
+        "coefficients-list",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):

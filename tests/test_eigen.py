@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import eigenball as eb
 
@@ -256,6 +257,44 @@ def test_nonzero_alpha_uses_only_monotone_probes():
     assert {p[2] for p in est.probes} == {"monotone"}
     assert len(est.probes) == 9
     assert est.lambda_lo < 1.0 < est.lambda_hi
+
+
+def rayleigh_minimum(p, c, grid):
+    """Minimum over positive u = e^z of the discrete Rayleigh quotient
+    (sum r_{i+1/2}^{N-1} h |D+u|^p - sum vol_i c_i u_i^p) / sum vol_i u_i^p,
+    with finite-volume cell volumes (half cells at both ends)."""
+    r, h, N = grid.nodes, grid.h, grid.N_dim
+    edges = np.concatenate(([0.0], r[:-1] + h / 2, [grid.R]))
+    vol = np.diff(edges**N) / N
+    flux_w = (r[:-1] + h / 2) ** (N - 1) * h
+    cvol = c(r) * vol
+
+    def quotient(z):
+        u = np.exp(z)
+        s = np.diff(u) / h
+        den = vol @ u**p
+        q = (flux_w @ np.abs(s) ** p - cvol @ u**p) / den
+        ds = p * flux_w * np.abs(s) ** (p - 2) * s / h
+        dq = p * (-cvol - q * vol) * u ** (p - 1)
+        dq[:-1] -= ds
+        dq[1:] += ds
+        return q, dq / den * u
+
+    return minimize(quotient, np.zeros(grid.n), jac=True, method="L-BFGS-B").fun
+
+
+def test_plaplacian_bracket_contains_rayleigh_minimum():
+    # in N = 2 the p-Laplacian's flux form is the Euler-Lagrange equation of
+    # the discrete Rayleigh quotient at every node but r = R, so its
+    # threshold is the quotient's minimum up to that boundary row
+    def c(r):
+        return -1.0 - r**2
+
+    grid = eb.build_grid(1.0, 2, 101)
+    ref = rayleigh_minimum(3.0, c, grid)
+    assert ref == pytest.approx(1.461894, abs=1e-6)
+    est = bracket(eb.EllipticOperator.p_laplacian(3.0), c, grid=grid, bracket_width=0.02)
+    assert est.lambda_lo <= ref <= est.lambda_hi
 
 
 def test_non_monotone_stencil_has_no_cw_bracket():

@@ -3,6 +3,7 @@ import pytest
 
 import eigenball as eb
 from eigenball import solver
+from eigenball.operators import gradient_floor
 from eigenball.solver import Verdict, _Driver
 
 from conftest import nested_solve
@@ -65,27 +66,78 @@ WEIGHT_OPERATORS = {
 }
 
 
+def flux_reference(op, coeff, u):
+    """Pointwise reference of the alpha != 0 flux form: the half-node fluxes
+    w = |s|^alpha s with odd ghost fluxes, radial eigenvalue D/(alpha+1),
+    tangential eigenvalue M/r (D at r = 0, 0 at r = R, w_{i+1/2}/r_{i+1/2}
+    in the one-sided rows) and drift b M, weighted by the operator's own
+    second-order weights."""
+    g = u.grid
+    r, h, N, alpha = g.nodes, g.h, g.N_dim, op.alpha
+    s = np.diff(u.values) / h
+    delta = 1e-8 * (1.0 + u.sup_norm() / g.R)
+    w = gradient_floor(np.abs(s), delta) ** alpha * s
+    wr = np.append(w, -w[-1])
+    wl = np.insert(w, 0, -w[0])
+    D = (wr - wl) / h
+    M = (wr + wl) / 2.0
+    tangential = np.empty_like(r)
+    tangential[1:-1] = M[1:-1] / r[1:-1]
+    tangential[0], tangential[-1] = D[0], 0.0
+    # one-sided rows: where some policy would weigh u_{i-1} negatively
+    pos, neg = (op.second_order_weights(x, x, r) for x in (1.0, -1.0))
+    w_rad_min = np.minimum(pos[0], neg[0])
+    w_tan_max = np.maximum(pos[1], neg[1])
+    i = np.arange(g.n)
+    rows = (i > 0) & (i < g.n - 1)
+    rows &= 2 * i * w_rad_min < (alpha + 1) * (N - 1) * w_tan_max
+    tangential[rows] = wr[rows] / (r[rows] + h / 2)
+    radial = D / (alpha + 1)
+    w_rad, w_tan = op.second_order_weights(radial, tangential, r)
+    b, c, data = coeff.sample(r)
+    zero_order = c * np.sign(u.values) * np.abs(u.values) ** (alpha + 1)
+    return w_rad * radial + (N - 1) * w_tan * tangential + b * M + zero_order - data
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("name", sorted(WEIGHT_OPERATORS))
 def test_residual_matches_pointwise_operator(name, N):
     # the solver's second-order weights against the operator's own pointwise
-    # evaluation, node by node, on the discrete derivatives of a state with
-    # both Hessian-eigenvalue signs
+    # evaluation, node by node, on a state with both Hessian-eigenvalue signs:
+    # on the discrete derivatives for alpha = 0, on the flux form otherwise
     op = WEIGHT_OPERATORS[name]
     g = eb.build_grid(1.0, N, 101)
     r = g.nodes
     coeff = eb.CoefficientField(b=lambda r: 0.3 * r, c=lambda r: -1.0 - r**2, g=0.0)
     u = eb.GridFunction(g, 2.0 + np.cos(np.pi * r) + 0.3 * np.sin(2.0 * np.pi * r))
     res = eb.residual(op, coeff, 0.0, None, u).values
-    u1, u2 = (d.values for d in eb.discrete_derivatives(u))
-    tangential = np.empty_like(r)
-    tangential[1:-1] = u1[1:-1] / r[1:-1]
-    tangential[0], tangential[-1] = u2[0], 0.0
-    delta = 1e-8 * (1.0 + u.sup_norm() / g.R)
-    ref = eb.eval_radial_G(
-        op, coeff, r, u.values, u1, u2, 0.0, N, delta=delta, tangential=tangential
-    )
+    if op.alpha != 0.0:
+        ref = flux_reference(op, coeff, u)
+    else:
+        u1, u2 = (d.values for d in eb.discrete_derivatives(u))
+        tangential = np.empty_like(r)
+        tangential[1:-1] = u1[1:-1] / r[1:-1]
+        tangential[0], tangential[-1] = u2[0], 0.0
+        ref = eb.eval_radial_G(op, coeff, r, u.values, u1, u2, 0.0, N,
+                               tangential=tangential)
     assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize(
+    "name", sorted(k for k, op in WEIGHT_OPERATORS.items() if op.alpha != 0.0)
+)
+def test_flux_form_bands_are_monotone(name, N):
+    # the alpha != 0 Jacobian has nonnegative off-diagonals on every iterate,
+    # whatever the Pucci policy: the scheme is monotone
+    g = eb.build_grid(1.0, N, 101)
+    driver = _Driver(WEIGHT_OPERATORS[name], g, None, -1.0 - g.nodes**2)
+    rng = np.random.default_rng(N)
+    for _ in range(50):
+        v = rng.uniform(-2.0, 2.0, g.n) * rng.uniform(0.0, 1.0)
+        _, aux = driver.residual(0.0, v)
+        lower, _, upper = driver._bands(v, aux)
+        assert lower.min() >= 0.0 and upper.min() >= 0.0
 
 
 # ------------------------------ solve_neumann --------------------------------
@@ -188,6 +240,20 @@ def test_solve_singular_exponent_constant():
     rep = eb.solve_neumann(op, eb.CoefficientField(c=-1.0, g=-1.0), 0.0, None, g)
     assert rep.converged
     assert rep.solution.sup_norm() == pytest.approx(1.0, abs=1e-7)
+
+
+def test_plaplacian_converges_through_critical_points():
+    # u' vanishes at r = 0 and r = R, where u is only C^{1,beta}; the flux
+    # form holds there, so p = 3 converges and u(0) settles under refinement
+    op = eb.EllipticOperator.p_laplacian(3.0)
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
+    )
+    reps = [eb.solve_neumann(op, coeff, 0.0, None, eb.build_grid(1.0, 2, n))
+            for n in (201, 401)]
+    assert all(rep.converged and rep.barrier_ok for rep in reps)
+    coarse, fine = (rep.solution.values[0] for rep in reps)
+    assert abs(coarse - fine) <= 1e-5
 
 
 def test_non_convergence_is_reported_not_hidden():
@@ -306,6 +372,11 @@ STEP_OPERATORS = {
     "pucci_plus_a+0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, 0.5),
     "pucci_plus_a-0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5),
     "p_laplacian_p3": eb.EllipticOperator.p_laplacian(3.0),
+    "anisotropic_q3": eb.EllipticOperator.anisotropic(
+        1.0, 2.0, q=3.0, c0=0.5,
+        b1_profile=lambda r: 1.5 + 0.25 * np.cos(np.pi * r),
+        b2_profile=lambda r: 0.5 * r,
+    ),
 }
 
 
@@ -328,15 +399,23 @@ def test_bands_match_finite_difference_jacobian(name):
         plus, _ = driver.residual(data, v + e)
         minus, _ = driver.residual(data, v - e)
         jac[:, j] = (plus - minus) / (2 * eps)
-    # interior rows with |u'| above the gradient floor, away from the Pucci
-    # switches u'' = 0 and u'/r = 0 where the residual has a kink
-    u1, u2, t = aux[:3]
-    rows = np.flatnonzero((np.abs(u1) > 1e-3) & (np.abs(u2) > 0.1) & (np.abs(t) > 0.1))
-    rows = rows[(rows > 0) & (rows < n - 1)]
+    # interior rows whose two half-node slopes lie above the gradient floors,
+    # away from the Pucci switches D = 0 and T = 0 where the residual has a kink
+    s = np.diff(v) / g.h
+    w = np.abs(s) ** driver.alpha * s
+    wr, wl = np.append(w, -w[-1]), np.insert(w, 0, -w[0])
+    D = (wr - wl) / g.h
+    T = driver.tr * wr + driver.tl * wl
+    slope = np.minimum(np.abs(np.append(s, 0.0)), np.abs(np.insert(s, 0, 0.0)))
+    rows = np.flatnonzero((slope > 1e-3) & (np.abs(D) > 0.1) & (np.abs(T) > 0.1))
     assert rows.size >= 40
     bands = np.stack([lower[rows - 1], diag[rows], upper[rows]])
     fd = np.stack([jac[rows, rows - 1], jac[rows, rows], jac[rows, rows + 1]])
     assert np.abs(bands - fd).max() <= 1e-6 * np.abs(bands).max()
+    # the end rows, through the odd ghost fluxes
+    ends = np.array([diag[0], upper[0], lower[-1], diag[-1]])
+    fd_ends = np.array([jac[0, 0], jac[0, 1], jac[-1, -2], jac[-1, -1]])
+    assert np.abs(ends - fd_ends).max() <= 1e-6 * np.abs(bands).max()
     outside = jac[rows].copy()
     for k in (-1, 0, 1):
         outside[np.arange(rows.size), rows + k] = 0.0
