@@ -8,9 +8,10 @@ what the bisection probes.  The mirrored eigenvalue (negative
 eigenfunctions) is the upper one of the reflected operator -F(-p, -X).
 
 For alpha = 0 with a monotone stencil (nonnegative off-diagonals under every
-row-wise policy) a probe is decided from one positive grid function phi.  The
-discrete Pucci- operator is the row-wise minimum, and Pucci+ the maximum,
-of linear policy operators whose negatives are M-matrices.  So with
+row-wise policy, which the flux form has unless drift breaks them) a probe
+is decided from one positive grid function phi.  The discrete Pucci-
+operator is the row-wise minimum, and Pucci+ the maximum, of linear policy
+operators whose negatives are M-matrices.  So with
 rho_i = -G(phi)_i / phi_i, phi is a strict supersolution for every
 lambda < min rho, which bounds the monotone iterates, and a strict
 subsolution for every lambda > max rho, which rules out a bounded limit of
@@ -18,7 +19,7 @@ the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
 iteration, one shifted inverse-iteration solve per round.  A probe within a
 rounding guard of that bracket, every probe for alpha != 0, and every probe
-of a non-monotone stencil is still classified by running
+of a stencil that drift makes non-monotone is still classified by running
 ``monotone_iteration`` with g = -1 (g = +1, decreasing iterates, for the
 mirrored eigenvalue) and watching whether the iterates settle or blow past
 the threshold.
@@ -30,6 +31,7 @@ constants defeat the maximum principle, which pins the initial bracket.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -144,9 +146,10 @@ class EigenEstimate:
     be replayed, and ``"cw"`` for a verdict read off the Collatz-Wielandt
     bracket ``cw_bracket`` = (min rho, max rho) of a positive eigenvector
     phi (see the module docstring).  ``cw_bracket`` is ``None`` when that
-    bracket was not used (alpha != 0 or a non-monotone stencil); the
-    eigenfunction is then the normalized final iterate at ``lambda_lo``,
-    otherwise phi.  It has sup-norm exactly 1 and a strict sign.
+    bracket was not used (alpha != 0 or a stencil that drift makes
+    non-monotone); the eigenfunction is then the normalized final iterate
+    at ``lambda_lo``, otherwise phi.  It has sup-norm exactly 1 and a
+    strict sign.
     """
 
     lambda_lo: float
@@ -192,14 +195,19 @@ class _CWBracket:
 def _monotone_stencil(driver: _Driver) -> bool:
     """Whether the bands of every row-wise policy have nonnegative
     off-diagonals (alpha = 0), the discrete comparison principle the
-    Collatz-Wielandt bracket rests on.  Both bands are smallest with the
-    small radial weight, so that one is checked against every tangential
-    weight's advection band."""
-    w_rad = min(driver.policy) if driver.sign_weights else driver.w_rad
-    diff = w_rad / (driver.h * driver.h)
-    for adv in driver.adv:
-        lower, upper = driver._offdiag(diff, adv)
-        if lower.min() < 0.0 or upper.min() < 0.0:
+    Collatz-Wielandt bracket rests on: P >= 0 >= Q on the interior rows for
+    every pair of radial and tangential weights, with P and Q the
+    coefficients of the fluxes w_{i+1/2} and w_{i-1/2}.  The end rows hold
+    by construction.  Without drift the interior rows hold too, thanks to
+    the one-sided rows near the axis.  The drift adds b/2 to P and Q and
+    can break them, for instance wherever h b > 2 min w_rad."""
+    if driver.sign_weights:
+        pairs = itertools.product(driver.policy, repeat=2)
+    else:
+        pairs = [(driver.w_rad, driver.w_tan)]
+    for w_rad, w_tan in pairs:
+        P, Q = driver._flux_weights(w_rad, w_tan)
+        if P[1:-1].min() < 0.0 or Q[1:-1].max() > 0.0:
             return False
     return True
 
@@ -212,8 +220,8 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits
     below min rho <= the policy's Perron root, so -L - sigma is a
     nonsingular M-matrix and the step keeps phi positive.  Returns ``None``
-    for alpha != 0, a non-monotone stencil, or a step that fails; the
-    mirrored eigenvalue uses the reflected operator.
+    for alpha != 0, a stencil that drift makes non-monotone, or a step that
+    fails; the mirrored eigenvalue uses the reflected operator.
     """
     if op.alpha != 0.0:
         return None

@@ -16,13 +16,15 @@ into Picard/Howard policy iteration; for gradient exponent alpha = 0 the
 policy steps are taken directly, with the factorization cached while the
 eigenvalue sign pattern is unchanged.
 
-For alpha != 0 the gradient factor is in flux form: w = |s|^alpha s on half
-nodes, s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes,
-so w vanishes exactly at r = 0 and r = R, where the solution is only
+The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
+s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
+vanishes exactly at r = 0 and r = R, where the solution is only
 C^{1,beta}.  Row i weighs the radial eigenvalue D/(alpha+1), D the flux
 difference over h, and the tangential one M/r_i, M the mean flux (D at
 r = 0, 0 at r = R; w_{i+1/2}/r_{i+1/2} in rows near the axis where M would
-break monotonicity); the drift reads M.  L is the Jacobian, a watchdog
+break monotonicity); the drift reads M.  For alpha = 0, w = s and this is
+the central stencil, except in those one-sided rows.  L is the Jacobian
+(the frozen-policy operator for alpha = 0); for alpha != 0 a watchdog
 forces Newton steps through stalls, and a solve that misses tol gets one
 more run from a fresh dt.
 
@@ -47,7 +49,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grid import GridFunction, RadialGrid, derivative_arrays
+from .grid import GridFunction, RadialGrid
+# unused here, but the benchmark's tracer wraps eigenball.solver.derivative_arrays
+from .grid import derivative_arrays  # noqa: F401
 from .operators import (
     CoefficientField,
     EllipticOperator,
@@ -231,15 +235,15 @@ class _Driver:
     """Repeated solves of one frozen-coefficient problem with varying data.
 
     Owns the node samples of b and c + lambda, the parts of the bands that
-    do not depend on the iterate (weights, advection, zero-order factor),
-    and the workspace.  All heavy per-step work (residual, bands, factor)
-    happens here so the iteration layers above stay thin.
+    do not depend on the iterate (weights, tangential flux coefficients,
+    zero-order factor), and the workspace.  All heavy per-step work
+    (residual, bands, factor) happens here so the iteration layers above
+    stay thin.
     """
 
     __slots__ = (
         "op", "grid", "b", "c_eff", "zc", "ws", "alpha", "n", "h", "r", "N",
-        "inv_r", "w_rad", "w_tan", "sign_weights", "policy", "adv",
-        "tr", "tl", "bh",
+        "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "bh",
     )
 
     def __init__(self, op, grid, b, c_eff, ws=None):
@@ -254,7 +258,6 @@ class _Driver:
         self.h = grid.h
         self.r = grid.nodes
         self.N = grid.N_dim
-        self.inv_r = 1.0 / grid.nodes[1:-1]
         # zero-order band factor (alpha + 1) c; exactly c_eff for alpha = 0
         self.zc = (self.alpha + 1.0) * c_eff
         # weights where a Hessian eigenvalue is >= 0 and where it is < 0
@@ -265,128 +268,111 @@ class _Driver:
             # Pucci: one scalar weight per sign, the same for both eigenvalues
             self.policy = (float(pos[0]), float(neg[0]))
             self.w_rad = self.w_tan = None
-            tangential = [np.full(self.n, w) for w in self.policy]
         else:
             w_rad, w_tan = pos
             # one shared array marks an isotropic weight (residual short form)
             self.w_rad = np.full(self.n, w_rad)
             isotropic = np.ndim(w_rad) == 0 and w_rad == w_tan
             self.w_tan = self.w_rad if isotropic else np.full(self.n, w_tan)
-            tangential = [self.w_tan]
-        if self.alpha != 0.0:
-            # flux form: the tangential eigenvalue (times N-1) of row i is
-            # tr w_{i+1/2} + tl w_{i-1/2}, one-sided in the rows where the
-            # mean would weigh u_{i-1} negatively under some policy
-            nm1, h = self.N - 1, self.h
-            self.tr = np.zeros(self.n)
-            self.tr[0] = nm1 / h
-            self.tr[1:-1] = (0.5 * nm1) * self.inv_r
-            self.tl = self.tr.copy()
-            self.tl[0] = -self.tr[0]
-            w_rad = min(self.policy) if self.sign_weights else self.w_rad
-            w_tan = max(self.policy) if self.sign_weights else self.w_tan
-            rows = 2.0 * np.arange(self.n) * w_rad < (self.alpha + 1.0) * nm1 * w_tan
-            rows[[0, -1]] = False
-            self.tr[rows] = nm1 / (self.r[rows] + 0.5 * h)
-            self.tl[rows] = 0.0
-            self.bh = 0.0 if self.b is None else 0.5 * self.b
-            return
-        # advection band w_tan (N-1)/(2h r) + b/(2h), one array per tangential
-        # weight; the end entries are never read
-        self.adv = []
-        for w in tangential:
-            adv = np.zeros(self.n)
-            adv[1:-1] = w[1:-1] * ((self.N - 1) / (2.0 * self.h)) * self.inv_r
-            if self.b is not None:
-                adv[1:-1] += self.b[1:-1] / (2.0 * self.h)
-            self.adv.append(adv)
+        # the tangential eigenvalue (times N-1) of row i is
+        # tr w_{i+1/2} + tl w_{i-1/2}, one-sided in the rows where the mean
+        # would weigh u_{i-1} negatively under some policy
+        nm1, h = self.N - 1, self.h
+        self.tr = np.zeros(self.n)
+        self.tr[0] = nm1 / h
+        self.tr[1:-1] = (0.5 * nm1) * (1.0 / self.r[1:-1])
+        self.tl = self.tr.copy()
+        self.tl[0] = -self.tr[0]
+        w_rad = min(self.policy) if self.sign_weights else self.w_rad
+        w_tan = max(self.policy) if self.sign_weights else self.w_tan
+        rows = 2.0 * np.arange(self.n) * w_rad < (self.alpha + 1.0) * nm1 * w_tan
+        rows[[0, -1]] = False
+        self.tr[rows] = nm1 / (self.r[rows] + 0.5 * h)
+        self.tl[rows] = 0.0
+        self.bh = 0.0 if self.b is None else 0.5 * self.b
 
     # -- residual -----------------------------------------------------------
 
     def residual(self, g, v):
         """Residual LHS - RHS plus the frozen data ``aux`` the bands need.
 
-        For alpha = 0, aux = (u', u'', t, t >= 0 mask, w_rad, w_tan), the
-        mask None without sign weights; for alpha != 0, aux = (s, P, Q,
-        m^alpha, m, delta, sup|v|) with s the half-node slopes.
+        aux = (s, w_rad, w_tan, m, delta, sup|v|): the half-node slopes s,
+        the weights of the radial and tangential eigenvalues (the Pucci
+        policy), and for alpha != 0 the floored |s|, its floor delta and
+        sup|v| (all three None for alpha = 0).
         """
-        if self.alpha != 0.0:
+        a = self.alpha
+        s = (v[1:] - v[:-1]) / self.h
+        # fluxes w = Phi(s) padded with the odd ghost fluxes
+        # w_{-1/2} = -w_{1/2} and w_{n-1/2} = -w_{n-3/2}
+        wp = np.empty(self.n + 1)
+        if a != 0.0:
             vsup = _supabs(v)
             delta = 1e-8 * (1.0 + vsup / self.grid.R)
-            s = (v[1:] - v[:-1]) / self.h
             m = gradient_floor(np.abs(s), delta)
-            malpha = m**self.alpha
-            w = malpha * s
-            # odd ghost fluxes w_{-1/2} = -w_{1/2}, w_{n-1/2} = -w_{n-3/2}
-            wr = np.append(w, -w[-1])
-            wl = np.concatenate(((-w[0],), w))
-            if self.sign_weights:
-                lo, hi = self.policy
-                w_rad = np.where(wr >= wl, lo, hi)
-                w_tan = np.where(self.tr * wr + self.tl * wl >= 0, lo, hi)
-            else:
-                w_rad, w_tan = self.w_rad, self.w_tan
-            # coefficients P of w_{i+1/2} and Q of w_{i-1/2} in row i
-            rad = w_rad / ((self.alpha + 1.0) * self.h)
-            P = rad + w_tan * self.tr + self.bh
-            Q = w_tan * self.tl - rad + self.bh
-            res = P * wr + Q * wl + self.c_eff * signed_power(v, self.alpha) - g
-            return res, (s, P, Q, malpha, m, delta, vsup)
-        u1, u2 = derivative_arrays(v, self.h)
-        t = np.empty(self.n)
-        t[1:-1] = u1[1:-1] * self.inv_r
-        t[0], t[-1] = u2[0], 0.0
+            np.multiply(m**a, s, out=wp[1:-1])
+            vpow = signed_power(v, a)
+        else:
+            vsup = delta = m = None
+            wp[1:-1] = s
+            vpow = v
+        wp[0], wp[-1] = -wp[1], -wp[-2]
+        wr, wl = wp[1:], wp[:-1]
+        # radial eigenvalue D/(alpha+1) and tangential one times N-1
+        rad = (wr - wl) / ((a + 1.0) * self.h)
+        tan = self.tr * wr
+        tan += self.tl * wl
         if self.sign_weights:
             lo, hi = self.policy
-            tpos = t >= 0
-            w_rad = np.where(u2 >= 0, lo, hi)
-            w_tan = np.where(tpos, lo, hi)
+            w_rad = np.where(rad >= 0, lo, hi)
+            w_tan = np.where(tan >= 0, lo, hi)
         else:
-            tpos = None
             w_rad, w_tan = self.w_rad, self.w_tan
-        nm1 = self.N - 1
-        if nm1 == 0:
-            res = w_rad * u2
-        elif w_rad is w_tan:  # isotropic weight
-            if nm1 != 1:
-                res = t * nm1
-                res += u2
-            else:
-                res = t + u2
+        if w_rad is w_tan:  # isotropic weight
+            res = rad + tan
             res *= w_rad
         else:
-            res = w_rad * u2 + nm1 * (w_tan * t)
-        res += self.c_eff * v
-        res -= g
+            res = w_rad * rad
+            res += w_tan * tan
         if self.b is not None:
-            res += self.b * u1
-        return res, (u1, u2, t, tpos, w_rad, w_tan)
+            res += self.bh * (wr + wl)
+        res += self.c_eff * vpow
+        res -= g
+        return res, (s, w_rad, w_tan, m, delta, vsup)
 
     # -- frozen linearization ----------------------------------------------
 
-    def _offdiag(self, diff, adv):
-        """Coefficients of v_{i-1} and v_{i+1} in row i (lower, upper) for a
-        diffusion band ``diff`` and an advection band ``adv``, before the
-        Neumann boundary rows."""
-        return diff - adv, diff + adv
+    def _flux_weights(self, w_rad, w_tan):
+        """Coefficients P of w_{i+1/2} and Q of w_{i-1/2} in row i under the
+        weights (w_rad, w_tan)."""
+        rad = w_rad / ((self.alpha + 1.0) * self.h)
+        return rad + w_tan * self.tr + self.bh, w_tan * self.tl - rad + self.bh
 
     def _bands(self, v, aux):
-        """Tridiagonal bands of the linearized operator at the iterate v.
+        """Tridiagonal bands of the linearization at the iterate v: the
+        Jacobian of the flux form under the policy frozen in aux.
 
-        For alpha = 0 this is the frozen-coefficient operator L with
-        L v = G(v) exactly (which makes the large-dt limit a policy
-        iteration); otherwise it is the Jacobian of the flux form.
+        For alpha = 0 that is the frozen-coefficient operator L with
+        L v = G(v) exactly, which makes the large-dt limit a policy
+        iteration.
         """
-        if self.alpha != 0.0:
-            # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at 1e-6 (1 + sup|v|)
-            # for alpha > 0; the derivative of the floored Phi for alpha < 0
-            s, P, Q, malpha, m, delta, vsup = aux
-            a, abs_s = self.alpha, np.abs(s)
+        s, w_rad, w_tan, m, delta, vsup = aux
+        P, Q = self._flux_weights(w_rad, w_tan)
+        a = self.alpha
+        if a == 0.0:
+            # Phi(s) = s: d wr/d v_{i+1} = d wl/d v_i = 1/h
+            pr, ql = P / self.h, Q / self.h
+            z = self.zc
+        else:
+            # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at
+            # 1e-6 (1 + sup|v|) for alpha > 0; the derivative of the floored
+            # Phi for alpha < 0
             if a > 0.0:
-                dphi = (a + 1.0) * np.maximum(abs_s, 1e-6 * (1.0 + vsup)) ** a
+                dphi = (a + 1.0) * np.maximum(np.abs(s), 1e-6 * (1.0 + vsup)) ** a
             else:
+                abs_s = np.abs(s)
                 q = np.where(abs_s >= delta, abs_s, s * s / delta)
-                dphi = malpha * (1.0 + a * q / m)
+                dphi = m**a * (1.0 + a * q / m)
             dphi /= self.h
             # d wr/d v_{i+1} and d wl/d v_i, ghost fluxes mirrored at the ends
             pr = P * np.append(dphi, dphi[-1])
@@ -394,36 +380,16 @@ class _Driver:
             # zero-order Jacobian (alpha+1) c |v|^alpha, floored away from the
             # |v| = 0 singularity; any negative surrogate is admissible here
             z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** a
-            diag = ql - pr + z
-            upper = pr[:-1]
-            upper[0] -= ql[0]
-            lower = -ql[1:]
-            lower[-1] += pr[-1]
-            return lower, diag, upper
-        tpos, w_rad, w_tan = aux[3:]
-        h2 = self.h * self.h
-        adv = self.adv[0] if tpos is None else np.where(tpos, *self.adv)
-        diff = w_rad / h2
-        z = self.zc
-        lower, upper = self._offdiag(diff, adv)
-        diag = -2.0 * diff + z
-        c0 = (w_rad[0] + (self.N - 1) * w_tan[0]) * 2.0 / h2
-        diag[0] = -c0 + z[0]
-        upper[0] = c0
-        cn = w_rad[-1] * 2.0 / h2
-        diag[-1] = -cn + z[-1]
-        lower[-1] = cn
-        return lower[1:], diag, upper[:-1]
+        diag = ql - pr + z
+        upper = pr[:-1]
+        upper[0] -= ql[0]
+        lower = -ql[1:]
+        lower[-1] += pr[-1]
+        return lower, diag, upper
 
-    def _pattern(self, aux):
-        if not self.sign_weights:
-            return b"const"
-        u2, tpos = aux[1], aux[3]
-        return np.concatenate([(u2 >= 0), tpos]).tobytes()
-
-    def _default_dt0(self, u1):
+    def _default_dt0(self, s):
         _, Aeff = self.op.ellipticity_bounds()
-        gfac = (_supabs(u1) + 1.0) ** max(self.alpha, 0.0)
+        gfac = (_supabs(s) + 1.0) ** max(self.alpha, 0.0)
         return self.h**2 / (2.0 * Aeff * self.N * gfac)
 
     # -- solvers --------------------------------------------------------------
@@ -435,7 +401,8 @@ class _Driver:
         for _ in range(max_rounds):
             if rs <= tol:
                 break
-            pattern = self._pattern(aux)
+            # the bands depend on v only through the policy (w_rad, w_tan)
+            pattern = np.concatenate(aux[1:3]).tobytes()
             if ws.factor is None or ws.pattern != pattern:
                 try:
                     ws.factor = _TriFactor(*self._bands(v, aux))
@@ -480,9 +447,7 @@ class _Driver:
         bands = None
         while steps < budget and rs > tol:
             if bands is None:
-                # sup|v| is in aux for alpha != 0
-                vsup = aux[-1] if self.alpha != 0.0 else _supabs(v)
-                if vsup > opts.U_max:
+                if _supabs(v) > opts.U_max:
                     bound_violation = True
                     break
                 lower, diag, upper = bands = self._bands(v, aux)

@@ -297,12 +297,45 @@ def test_plaplacian_bracket_contains_rayleigh_minimum():
     assert est.lambda_lo <= ref <= est.lambda_hi
 
 
-def test_non_monotone_stencil_has_no_cw_bracket():
-    # in R^3 the first interior row of Pucci- (a = 1, A = 2) has the lower
-    # off-diagonal (a - A) / h^2 < 0 under the mixed policy
+def test_three_dimensional_pucci_has_cw_bracket():
+    # in R^3 the central tangential term would give the first interior row of
+    # Pucci (a = 1, A = 2) the lower off-diagonal (a - A) / h^2 < 0 under the
+    # mixed policy; the one-sided rows keep the stencil monotone, so the CW
+    # bracket is available and its verdicts replay with the monotone iteration
     from eigenball.eigen import _collatz_wielandt
 
-    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
-    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)
-    assert _collatz_wielandt(op, coeff, eb.build_grid(1.0, 3, 101), "up") is None
-    assert _collatz_wielandt(op, coeff, eb.build_grid(1.0, 2, 101), "up") is not None
+    def c(r):
+        return -1.0 - r**2
+
+    grid = eb.build_grid(1.0, 3, 101)
+    coeff = eb.CoefficientField(b=0.0, c=c, g=0.0)
+    opts = eb.SolveOptions(max_iter=400_000)
+    for kind in ("pucci_minus", "pucci_plus"):
+        op = getattr(eb.EllipticOperator, kind)(1.0, 2.0, 0.0)
+        cw = _collatz_wielandt(op, coeff, grid, "up")
+        assert cw is not None, kind
+        below = eb.monotone_iteration(op, coeff, cw.lo - 0.01, -1.0, grid, opts)
+        assert below.verdict is eb.Verdict.CONVERGED, kind
+        above = eb.monotone_iteration(op, coeff, cw.hi + 0.01, -1.0, grid, opts)
+        assert above.verdict is eb.Verdict.UNBOUNDED, kind
+        est = bracket(op, c, grid=grid, bracket_width=0.02)
+        assert est.lambda_lo <= cw.lo <= cw.hi <= est.lambda_hi, kind
+
+
+def test_drift_breaks_the_monotone_stencil():
+    # with h|b| > 2 min w_rad the drift makes an off-diagonal negative, so the
+    # CW bracket is refused and every probe is a monotone-iteration run;
+    # a mild drift keeps the stencil monotone
+    from eigenball.eigen import _collatz_wielandt
+
+    def c(r):
+        return -1.0 - r**2
+
+    strong = eb.CoefficientField(b=300.0, c=c, g=0.0)
+    assert _collatz_wielandt(LAP, strong, GRID, "up") is None
+    est = eb.lambda_up(LAP, strong, GRID, eb.EigenOptions(bracket_width=0.1))
+    assert est.cw_bracket is None
+    assert {p[2] for p in est.probes} == {"monotone"}
+    mild = eb.CoefficientField(b=lambda r: 0.3 * r, c=c, g=0.0)
+    cw = _collatz_wielandt(LAP, mild, GRID, "up")
+    assert cw is not None and cw.hi - cw.lo <= 1e-8

@@ -66,6 +66,18 @@ WEIGHT_OPERATORS = {
 }
 
 
+def one_sided_rows(op, g):
+    """Rows where the mean flux would weigh u_{i-1} negatively under some
+    policy: 2i min w_rad < (alpha+1)(N-1) max w_tan, ends excluded."""
+    pos, neg = (op.second_order_weights(x, x, g.nodes) for x in (1.0, -1.0))
+    w_rad_min = np.minimum(pos[0], neg[0])
+    w_tan_max = np.maximum(pos[1], neg[1])
+    i = np.arange(g.n)
+    rows = (i > 0) & (i < g.n - 1)
+    rows &= 2 * i * w_rad_min < (op.alpha + 1) * (g.N_dim - 1) * w_tan_max
+    return rows
+
+
 def flux_reference(op, coeff, u):
     """Pointwise reference of the alpha != 0 flux form: the half-node fluxes
     w = |s|^alpha s with odd ghost fluxes, radial eigenvalue D/(alpha+1),
@@ -84,13 +96,7 @@ def flux_reference(op, coeff, u):
     tangential = np.empty_like(r)
     tangential[1:-1] = M[1:-1] / r[1:-1]
     tangential[0], tangential[-1] = D[0], 0.0
-    # one-sided rows: where some policy would weigh u_{i-1} negatively
-    pos, neg = (op.second_order_weights(x, x, r) for x in (1.0, -1.0))
-    w_rad_min = np.minimum(pos[0], neg[0])
-    w_tan_max = np.maximum(pos[1], neg[1])
-    i = np.arange(g.n)
-    rows = (i > 0) & (i < g.n - 1)
-    rows &= 2 * i * w_rad_min < (alpha + 1) * (N - 1) * w_tan_max
+    rows = one_sided_rows(op, g)
     tangential[rows] = wr[rows] / (r[rows] + h / 2)
     radial = D / (alpha + 1)
     w_rad, w_tan = op.second_order_weights(radial, tangential, r)
@@ -104,7 +110,9 @@ def flux_reference(op, coeff, u):
 def test_residual_matches_pointwise_operator(name, N):
     # the solver's second-order weights against the operator's own pointwise
     # evaluation, node by node, on a state with both Hessian-eigenvalue signs:
-    # on the discrete derivatives for alpha = 0, on the flux form otherwise
+    # on the discrete derivatives for alpha = 0 (with the forward difference
+    # 2(u_{i+1} - u_i)/(r_{i+1}^2 - r_i^2) as tangential value in the
+    # one-sided rows), on the flux form otherwise
     op = WEIGHT_OPERATORS[name]
     g = eb.build_grid(1.0, N, 101)
     r = g.nodes
@@ -118,18 +126,19 @@ def test_residual_matches_pointwise_operator(name, N):
         tangential = np.empty_like(r)
         tangential[1:-1] = u1[1:-1] / r[1:-1]
         tangential[0], tangential[-1] = u2[0], 0.0
+        rows = np.flatnonzero(one_sided_rows(op, g))
+        tangential[rows] = 2 * (u.values[rows + 1] - u.values[rows]) / (
+            r[rows + 1] ** 2 - r[rows] ** 2)
         ref = eb.eval_radial_G(op, coeff, r, u.values, u1, u2, 0.0, N,
                                tangential=tangential)
     assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize(
-    "name", sorted(k for k, op in WEIGHT_OPERATORS.items() if op.alpha != 0.0)
-)
+@pytest.mark.parametrize("name", sorted(WEIGHT_OPERATORS))
 def test_flux_form_bands_are_monotone(name, N):
-    # the alpha != 0 Jacobian has nonnegative off-diagonals on every iterate,
-    # whatever the Pucci policy: the scheme is monotone
+    # the Jacobian has nonnegative off-diagonals on every iterate, whatever
+    # the Pucci policy: the scheme is monotone, for alpha = 0 too
     g = eb.build_grid(1.0, N, 101)
     driver = _Driver(WEIGHT_OPERATORS[name], g, None, -1.0 - g.nodes**2)
     rng = np.random.default_rng(N)
@@ -377,12 +386,14 @@ STEP_OPERATORS = {
         b1_profile=lambda r: 1.5 + 0.25 * np.cos(np.pi * r),
         b2_profile=lambda r: 0.5 * r,
     ),
+    **{k: op for k, op in WEIGHT_OPERATORS.items() if op.alpha == 0.0},
 }
 
 
 @pytest.mark.parametrize("name", sorted(STEP_OPERATORS))
 def test_bands_match_finite_difference_jacobian(name):
-    # alpha != 0: the bands are the Jacobian of the residual, drift included
+    # the bands are the Jacobian of the residual, drift included; for
+    # alpha = 0 that makes them the exact frozen-policy operator
     n = 51
     g = eb.build_grid(1.0, 2, n)
     r = g.nodes
