@@ -404,15 +404,9 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
                 out_dir / "report.json",
                 {
                     "config": public_cfg,
-                    "converged": report.converged,
-                    "bound_violation": report.bound_violation,
-                    "residual_sup": report.residual_sup,
-                    "iterations": report.iterations,
+                    **summary,
                     "dt": report.dt,
-                    "sup_norm": report.solution.sup_norm(),
-                    "barrier_bound": report.barrier_bound,
                     "barrier_ok": report.barrier_ok,
-                    "sandwich_ok": report.sandwich_ok,
                 },
             )
         return (0 if report.converged else 2), summary

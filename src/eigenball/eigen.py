@@ -49,6 +49,7 @@ from .solver import (
     SolveWorkspace,
     Verdict,
     _Driver,
+    _floor,
     _rounding_floor,
     _shifted_iterates,
     _TriFactor,
@@ -511,6 +512,7 @@ def solve_general(
             break
 
     converged = rs <= opts.tol and sandwich_ok
+    _, aux = full_driver.residual(g, u)
     return SolveReport(
         solution=GridFunction(grid, u),
         residual_sup=rs,
@@ -519,4 +521,5 @@ def solve_general(
         converged=converged,
         bound_violation=False,
         sandwich_ok=sandwich_ok,
+        residual_floor=_floor(u, full_driver._bands(u, aux)),
     )

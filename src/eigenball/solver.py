@@ -5,16 +5,18 @@
     F(x, Du, D^2 u) + b |Du|^alpha Du . x/|x| + (c(r) + lambda) |u|^alpha u = g(r)
 
 on the ball under the homogeneous Neumann condition, in the coercive regime
-c + lambda <= -c0 < 0.  The discrete problem is driven to a steady state by
-pseudo-transient continuation: each step solves the tridiagonal system
-(I - dt L) du = dt * residual with L the frozen-coefficient linearization,
-and dt follows an adaptive policy (halve on residual increase, grow 1.1x on
-decrease).  L is built once per accepted iterate; a rejected step only
-changes dt and reuses it.  Since the frozen operator reproduces the
-nonlinear one exactly at the current iterate, large dt steps degenerate
-into Picard/Howard policy iteration; for gradient exponent alpha = 0 the
-policy steps are taken directly, with the factorization cached while the
-eigenvalue sign pattern is unchanged.
+c + lambda <= -c0 < 0.  Every step solves a tridiagonal system with the
+exact linearization L of the discrete operator.  For gradient exponent
+alpha = 0, L is the frozen-policy operator (L v = G(v) exactly), so the
+steps are Howard policy iteration, with the factorization cached while the
+eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian
+and the steps are pseudo-transient continuation, (I - dt L) du =
+dt * residual, from dt = DT_MAX, i.e. Newton steps; dt halves on a
+residual increase and grows 1.1x on a decrease, and L is built once per
+accepted iterate, so a rejected step only changes dt.  A step rejected from
+an iterate whose residual is at its rounding floor (``_floor``) ends the
+solve; a first run that stalls above the floor gets one pseudo-time run
+from the CFL-style dt, whose watchdog forces Newton steps through stalls.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -23,10 +25,7 @@ C^{1,beta}.  Row i weighs the radial eigenvalue D/(alpha+1), D the flux
 difference over h, and the tangential one M/r_i, M the mean flux (D at
 r = 0, 0 at r = R; w_{i+1/2}/r_{i+1/2} in rows near the axis where M would
 break monotonicity); the drift reads M.  For alpha = 0, w = s and this is
-the central stencil, except in those one-sided rows.  L is the Jacobian
-(the frozen-policy operator for alpha = 0); for alpha != 0 a watchdog
-forces Newton steps through stalls, and a solve that misses tol gets one
-more run from a fresh dt.
+the central stencil, except in those one-sided rows.
 
 ``monotone_iteration`` runs the shifted-problem fixed point
 
@@ -88,6 +87,17 @@ def _supabs(x) -> float:
     return float(max(np.maximum.reduce(x), -np.minimum.reduce(x)))
 
 
+def _floor(v, bands) -> float:
+    """Smallest residual floating point resolves at the iterate v:
+    ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), with ||L||_inf the largest
+    absolute row sum of the bands L of the linearization at v."""
+    lower, diag, upper = bands
+    rows = np.abs(diag)
+    rows[1:] += np.abs(lower)
+    rows[:-1] += np.abs(upper)
+    return ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
+
+
 def _rounding_floor(op, grid, c_inf) -> float:
     """Attainable residual per unit sup-norm of the solution: the backward
     error eps * (4 A / h^2 + |c|_inf + 1) of the stencil, with a safety
@@ -118,13 +128,14 @@ class Verdict(enum.Enum):
 class _TriFactor:
     """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs)."""
 
-    __slots__ = ("_lu",)
+    __slots__ = ("_lu", "bands")
 
     def __init__(self, lower, diag, upper):
         dlf, df, duf, du2, ipiv, info = _gttrf(lower, diag, upper)
         if info != 0:
             raise np.linalg.LinAlgError(f"gttrf info={info}")
         self._lu = (dlf, df, duf, du2, ipiv)
+        self.bands = (lower, diag, upper)
 
     def solve(self, rhs):
         x, info = _gttrs(*self._lu, rhs)
@@ -139,11 +150,11 @@ class SolveOptions:
     ``solve_general``.
 
     ``tol`` is an absolute sup-norm residual (solve) or sup-norm change
-    (iteration) tolerance.  ``dt0`` overrides the CFL-style initial pseudo
-    time step.  ``initial`` seeds the iteration (zeros by default).  A
-    ``workspace`` carries factorization and step-size state between related
-    solves; a solve owns its workspace, so concurrent solves must not share
-    one.
+    (iteration) tolerance.  ``dt0`` overrides DT_MAX, the pseudo time step
+    an alpha != 0 solve starts from.  ``initial`` seeds the iteration (zeros
+    by default).  A ``workspace`` carries the factorization state between
+    related solves; a solve owns its workspace, so concurrent solves must
+    not share one.
     """
 
     tol: float = 1e-9
@@ -159,7 +170,7 @@ class SolveOptions:
 class SolveWorkspace:
     """Mutable cache shared by consecutive solves of the same frozen problem."""
 
-    __slots__ = ("grid", "op", "b_ref", "c_ref", "pattern", "factor", "dt")
+    __slots__ = ("grid", "op", "b_ref", "c_ref", "pattern", "factor")
 
     def __init__(self):
         self.grid = None
@@ -168,7 +179,6 @@ class SolveWorkspace:
         self.c_ref = None
         self.pattern = None
         self.factor = None
-        self.dt = None
 
     def rebind(self, grid, op, b, c_eff):
         same = (
@@ -180,14 +190,18 @@ class SolveWorkspace:
         if not same:
             self.pattern = None
             self.factor = None
-            self.dt = None
         self.grid, self.op = grid, op
         self.b_ref, self.c_ref = b, c_eff
 
 
 @dataclass
 class SolveReport:
-    """Outcome of one Neumann solve."""
+    """Outcome of one Neumann solve.
+
+    ``residual_floor`` is the smallest residual floating point resolves at
+    the returned solution (``_floor``); a solve that stops there because
+    ``tol`` lies below it reports ``converged`` False.
+    """
 
     solution: GridFunction
     residual_sup: float
@@ -198,12 +212,14 @@ class SolveReport:
     barrier_bound: Optional[float] = None
     barrier_ok: Optional[bool] = None
     sandwich_ok: Optional[bool] = None
+    residual_floor: Optional[float] = None
 
     def summary(self):
         return {
             "converged": self.converged,
             "bound_violation": self.bound_violation,
             "residual_sup": self.residual_sup,
+            "residual_floor": self.residual_floor,
             "iterations": self.iterations,
             "sup_norm": self.solution.sup_norm(),
         }
@@ -395,9 +411,17 @@ class _Driver:
     # -- solvers --------------------------------------------------------------
 
     def _howard(self, g, v, res, aux, rs, tol, max_rounds=HOWARD_MAX_ROUNDS):
-        """Policy-iteration / refinement rounds (alpha = 0 only)."""
+        """Policy-iteration / refinement rounds (alpha = 0 only).
+
+        Returns (v, res, aux, rs, bands, steps, at_floor).  When the last
+        step was rejected, bands are the factored bands (those of v, whose
+        policy they share) and at_floor tells whether the residual of v is
+        at their floor; otherwise bands is None and at_floor False.
+        """
         ws = self.ws
         steps = 0
+        bands = None
+        at_floor = False
         for _ in range(max_rounds):
             if rs <= tol:
                 break
@@ -416,41 +440,48 @@ class _Driver:
             rs_new = _supabs(res_new)
             # non-finite v_new propagates into rs_new, so one check covers both
             if not (rs_new < rs):
+                bands = ws.factor.bands
+                at_floor = rs <= _floor(v, bands)
                 break
             v, res, aux, rs = v_new, res_new, aux_new, rs_new
             steps += 1
-        return v, res, aux, rs, steps
+        return v, res, aux, rs, bands, steps, at_floor
 
-    def _ptc(self, g, v, res, aux, rs, tol, opts, budget, dt_start, watchdogs=0):
+    def _ptc(self, g, v, res, aux, rs, tol, opts, budget, dt, watchdogs=0):
         """Adaptive pseudo-time stepping until the residual drops below tol.
 
-        Step acceptance and the dt policy (halve on increase, grow 1.1x on
-        decrease) use the Euclidean residual norm as merit: it tolerates the
-        single-node flips the degenerate gradient factor produces, and since
-        sup <= l2 the sup-norm convergence test is only taken earlier.  The
-        bands are built once per accepted iterate and reused by the steps
-        rejected from it, where only dt changes; each step is one LAPACK
-        gtsv solve of (I - dt L) du = dt * residual.
-        Returns (v, res, aux, rs, steps, dt_used, bound_violation); stops on
-        a stall (too many consecutive rejected steps), on the step budget, or
-        on an iterate escaping past U_max.
+        Starts at ``dt`` (the CFL-style step if None): dt = DT_MAX is a
+        Newton step.  Step acceptance and the dt policy (halve on increase,
+        grow 1.1x on decrease) use the Euclidean residual norm as merit: it
+        tolerates the single-node flips the degenerate gradient factor
+        produces, and since sup <= l2 the sup-norm convergence test is only
+        taken earlier.  The bands are built once per accepted iterate and
+        reused by the steps rejected from it, where only dt changes; each
+        step is one LAPACK gtsv solve of (I - dt L) du = dt * residual.
+        Returns (v, res, aux, rs, bands, steps, dt_used, bound_violation,
+        at_floor), bands those of the returned v if built (else None).
+        Stops on a step rejected from an iterate whose residual is at its
+        floor (at_floor), on a stall (too many consecutive rejected steps
+        once the ``watchdogs`` forced Newton steps are spent), on the step
+        budget, or on an iterate escaping past U_max.
         """
-        dt = dt_start
         if dt is None:
             dt = self._default_dt0(aux[0])
         dt_used = dt
         steps = 0
         rejects = 0
-        bound_violation = False
+        bound_violation = at_floor = False
         merit = math.sqrt(res @ res)
-        best = (v, res, aux, rs)
-        bands = None
+        best = (v, res, aux, rs, None)
+        bands = floor = None
         while steps < budget and rs > tol:
             if bands is None:
                 if _supabs(v) > opts.U_max:
                     bound_violation = True
                     break
                 lower, diag, upper = bands = self._bands(v, aux)
+                if best[0] is v:
+                    best = (*best[:4], bands)
             forced = False
             if rejects > opts.max_rejects:
                 # the merit landscape has a local minimum away from the
@@ -473,27 +504,39 @@ class _Driver:
                 res_new, aux_new = self.residual(g, v_new)
                 merit_new = math.sqrt(res_new @ res_new)
             if not (merit_new < merit) and not (forced and math.isfinite(merit_new)):
+                if floor is None:
+                    # the first rejection from this iterate
+                    floor = _floor(v, bands)
+                    if rs <= floor:
+                        at_floor = True
+                        break
                 dt *= DT_SHRINK
                 rejects += 1
                 continue
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
-            bands = None
+            bands = floor = None
             rs = _supabs(res)
             if rs < best[3]:
-                best = (v, res, aux, rs)
+                best = (v, res, aux, rs, None)
             steps += 1
             rejects = 0
             dt = min(dt * DT_GROWTH, DT_MAX)
             dt_used = dt
-            self.ws.dt = dt
         if rs > best[3]:
-            v, res, aux, rs = best
-        return v, res, aux, rs, steps, dt_used, bound_violation
+            v, res, aux, rs, bands = best
+        return v, res, aux, rs, bands, steps, dt_used, bound_violation, at_floor
 
     def solve(self, g, v0, opts, res0=None, aux0=None):
         """Drive the residual below opts.tol from the initial state v0.
 
-        Returns (v, res, aux, rs, iterations, dt, converged, bound_violation).
+        alpha = 0 runs Howard rounds; alpha != 0 runs pseudo-time steps from
+        dt = DT_MAX (opts.dt0 if set), which are Newton steps on the exact
+        Jacobian, halved on rejection.  Either stops at the residual floor
+        (``_floor``).  A first run that stalls above the floor gets one
+        pseudo-time run from the CFL-style dt, whose watchdog forces Newton
+        steps through stalls.
+        Returns (v, res, aux, rs, bands, iterations, dt, converged,
+        bound_violation), bands those of v if a run built them, else None.
         ``res0``/``aux0`` may carry a residual already evaluated at v0.
         """
         v = v0
@@ -507,30 +550,28 @@ class _Driver:
         rs = _supabs(res)
         tol = opts.tol
         iterations = 0
+        bands = None
         dt_used = math.inf
         bound_violation = False
 
-        if self.alpha == 0.0 and rs > tol:
-            v, res, aux, rs, steps = self._howard(g, v, res, aux, rs, tol)
-            iterations += steps
-
         if rs > tol:
-            # alpha != 0: the watchdog forces Newton steps through stalls, and
-            # a solve that still misses tol gets a polish from a fresh dt
-            dt0 = opts.dt0 if opts.dt0 is not None else self.ws.dt
-            watchdogs = 0 if self.alpha == 0.0 else 3
-            v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                g, v, res, aux, rs, tol, opts, opts.max_iter, dt0, watchdogs
-            )
-            iterations += steps
+            if self.alpha == 0.0:
+                v, res, aux, rs, bands, iterations, at_floor = self._howard(
+                    g, v, res, aux, rs, tol
+                )
+            else:
+                dt0 = opts.dt0 if opts.dt0 is not None else DT_MAX
+                v, res, aux, rs, bands, iterations, dt_used, bound_violation, at_floor = (
+                    self._ptc(g, v, res, aux, rs, tol, opts, opts.max_iter, dt0)
+                )
             budget = opts.max_iter - iterations
-            if self.alpha != 0.0 and rs > tol and not bound_violation and budget > 0:
-                v, res, aux, rs, steps, dt_used, bound_violation = self._ptc(
-                    g, v, res, aux, rs, tol, opts, budget, None, 2
+            if rs > tol and not (at_floor or bound_violation) and budget > 0:
+                v, res, aux, rs, bands, steps, dt_used, bound_violation, _ = self._ptc(
+                    g, v, res, aux, rs, tol, opts, budget, None, 3
                 )
                 iterations += steps
 
-        return v, res, aux, rs, iterations, dt_used, rs <= tol, bound_violation
+        return v, res, aux, rs, bands, iterations, dt_used, rs <= tol, bound_violation
 
 
 def _initial_array(opts, n):
@@ -575,7 +616,7 @@ def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
         inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u, res, aux, rs, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        u, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
         if not ok:
             raise InnerSolveError(
                 step,
@@ -627,8 +668,9 @@ def solve_neumann(
     Returns
     -------
     SolveReport with the a-posteriori sup-norm barrier
-    (|g|_inf / c0)^(1/(alpha+1)) + tol^(1/(alpha+1)) recorded; non-convergence
-    is reported, never silently accepted.
+    (|g|_inf / c0)^(1/(alpha+1)) + tol^(1/(alpha+1)) and the residual floor
+    at the returned iterate recorded; non-convergence is reported, never
+    silently accepted.
 
     Raises
     ------
@@ -651,7 +693,9 @@ def solve_neumann(
     c0 = float(-np.max(c_eff))
     driver = _Driver(op, grid, b, c_eff, opts.workspace)
     v0 = _initial_array(opts, grid.n)
-    v, _, _, rs, iterations, dt, converged, bound_violation = driver.solve(g, v0, opts)
+    v, _, aux, rs, bands, iterations, dt, converged, bound_violation = driver.solve(g, v0, opts)
+    if bands is None:
+        bands = driver._bands(v, aux)
     report = SolveReport(
         solution=GridFunction(grid, v),
         residual_sup=rs,
@@ -659,6 +703,7 @@ def solve_neumann(
         dt=dt,
         converged=converged,
         bound_violation=bound_violation and not converged,
+        residual_floor=_floor(v, bands),
     )
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo

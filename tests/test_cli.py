@@ -53,6 +53,19 @@ def test_solve_byte_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_solve_report_names_the_residual_floor(tmp_path):
+    # alpha = -0.5 stops at its floor: not converged, exit 2, in a few steps
+    cfg = json.loads(json.dumps(BASE_SOLVE))
+    cfg["operator"] = {"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": -0.5}
+    cfg["coefficients"] = {"c": "poly:-1,0,-1", "g": "poly:-1.5,0,0.5"}
+    cfg["grid"]["n"] = 401
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] <= 50
+    assert report["residual_sup"] <= 1e-6 <= report["residual_floor"]
+
+
 def test_invalid_grid_exits_3(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["grid"]["n"] = 2

@@ -464,3 +464,73 @@ def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
     assert attempts[0] > rep.iterations  # some steps were rejected
     keys = [(run, id(v), id(aux)) for run, v, aux in calls]
     assert len(set(keys)) == len(keys)
+
+
+# the solve_mix data: c = -1 - r^2, g = -1 + 0.5 cos(pi r)
+MIX = eb.CoefficientField(
+    b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
+)
+
+
+@pytest.mark.parametrize(
+    "op, n, residual_before, budget",
+    [
+        # residual and evaluation count before the floor stop: 3.33e-9
+        # after 65 evaluations, 6.74e-9 after 68, and 1.53e-7 after 865
+        (eb.EllipticOperator.pucci_minus(1.0, 1.0, 0.0), 4001, 3.33e-9, None),
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), 4001, 6.74e-9, None),
+        (STEP_OPERATORS["pucci_minus_a-0.5"], 201, 1.53e-7, 300),
+    ],
+    ids=["laplacian", "pucci_minus", "pucci_minus_a-0.5"],
+)
+def test_solve_stops_at_the_residual_floor(monkeypatch, op, n, residual_before, budget):
+    # a step rejected from an iterate at its rounding floor ends the solve:
+    # no pseudo-time run follows Howard, and no run goes on stepping there
+    calls = [0]
+    residual = _Driver.residual
+
+    def counted_residual(self, *args):
+        calls[0] += 1
+        return residual(self, *args)
+
+    monkeypatch.setattr(_Driver, "residual", counted_residual)
+    g = eb.build_grid(1.0, 2, n)
+    rep = eb.solve_neumann(op, MIX, 0.0, None, g)
+    assert not rep.converged
+    if budget is None:
+        # the start, every Howard round and the one rejected step
+        assert calls[0] <= rep.iterations + 2
+    else:
+        assert calls[0] <= budget
+    assert rep.residual_sup <= 2.0 * residual_before
+    assert rep.residual_sup <= rep.residual_floor
+    # ||L||_inf (1 + sup|u|) is within 2x of the alpha = 0 stencil floor,
+    # and counts the delta^alpha amplification of the gradient factor
+    rounding = solver._rounding_floor(op, g, 2.0) * (1.0 + rep.solution.sup_norm())
+    if op.alpha == 0.0:
+        assert 0.5 * rounding <= rep.residual_floor <= 2.0 * rounding
+    else:
+        assert rep.residual_floor >= 1e3 * rounding
+
+
+@pytest.mark.parametrize(
+    "op, u0",
+    [
+        (eb.EllipticOperator.pucci_plus(1.0, 2.0, 0.5), 0.849250930619983),
+        (
+            eb.EllipticOperator.anisotropic(
+                1.0, 2.0, q=3.0, c0=0.5, b1_profile=1.25, b2_profile=0.5
+            ),
+            0.8322492232279839,
+        ),
+    ],
+    ids=["pucci_plus_a+0.5", "anisotropic_q3"],
+)
+def test_cold_positive_alpha_solves_take_newton_steps(op, u0):
+    # the bands are the exact Jacobian, so a solve from u = 0 that starts
+    # with Newton steps converges in a few of them (pseudo-time stepping
+    # from the CFL step took 199 and 179); u(0) is the value it had then
+    rep = eb.solve_neumann(op, MIX, 0.0, None, eb.build_grid(1.0, 2, 401))
+    assert rep.converged and rep.barrier_ok
+    assert rep.iterations <= 20
+    assert rep.solution.values[0] == pytest.approx(u0, abs=1e-8)
