@@ -12,11 +12,14 @@ steps are Howard policy iteration, with the factorization cached while the
 eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian
 and the steps are pseudo-transient continuation, (I - dt L) du =
 dt * residual, from dt = DT_MAX, i.e. Newton steps; dt halves on a
-residual increase and grows 1.1x on a decrease, and L is built once per
-accepted iterate, so a rejected step only changes dt.  A step rejected from
-an iterate whose residual is at its rounding floor (``_floor``) ends the
-solve; a first run that stalls above the floor gets one pseudo-time run
-from the CFL-style dt, whose watchdog forces Newton steps through stalls.
+residual increase and doubles on a decrease, and L is built once per
+accepted iterate, so a rejected step only changes dt.  The first rejection
+from an iterate cuts dt to at most MARGIN_STEPS over the Gershgorin margin
+of -L before halving: above that, every trial repeats the rejected Newton
+step.  A step rejected from an iterate whose residual is at its rounding
+floor (``_floor``) ends the solve; a first run that stalls above the floor
+gets one pseudo-time run from the CFL-style dt, whose watchdog forces
+Newton steps through stalls.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -72,9 +75,12 @@ __all__ = [
     "monotone_iteration",
 ]
 
-DT_GROWTH = 1.1
-DT_SHRINK = 0.5
+# the pseudo time step doubles on an accepted step and halves on a rejected one
+DT_FACTOR = 2.0
 DT_MAX = 1e12
+# a rejected step cuts dt to at most MARGIN_STEPS over the Gershgorin margin
+# of -L, above which trial steps repeat the Newton step (``_Driver._ptc``)
+MARGIN_STEPS = 64.0
 HOWARD_MAX_ROUNDS = 64
 
 # safety factor on the eps * ||L|| backward error of the stencil
@@ -87,15 +93,27 @@ def _supabs(x) -> float:
     return float(max(np.maximum.reduce(x), -np.minimum.reduce(x)))
 
 
-def _floor(v, bands) -> float:
-    """Smallest residual floating point resolves at the iterate v:
-    ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), with ||L||_inf the largest
-    absolute row sum of the bands L of the linearization at v."""
+def _floor_margin(v, bands):
+    """(floor, margin) at the iterate v with bands L.
+
+    floor = ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|) is the smallest
+    residual floating point resolves at v, ||L||_inf the largest absolute row
+    sum of L; margin = min_i (-L_ii - |L_i,i-1| - |L_i,i+1|) is the
+    Gershgorin margin of -L, a lower bound on 1/||L^-1||_inf when positive.
+    """
     lower, diag, upper = bands
-    rows = np.abs(diag)
+    abs_diag = np.abs(diag)
+    rows = abs_diag.copy()
     rows[1:] += np.abs(lower)
     rows[:-1] += np.abs(upper)
-    return ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
+    floor = ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
+    # -L_ii minus the off-diagonal sum of row i is |L_ii| - L_ii - rows_i
+    return floor, float((abs_diag - diag - rows).min())
+
+
+def _floor(v, bands) -> float:
+    """The floor of ``_floor_margin``."""
+    return _floor_margin(v, bands)[0]
 
 
 def _rounding_floor(op, grid, c_inf) -> float:
@@ -198,9 +216,15 @@ class SolveWorkspace:
 class SolveReport:
     """Outcome of one Neumann solve.
 
-    ``residual_floor`` is the smallest residual floating point resolves at
-    the returned solution (``_floor``); a solve that stops there because
-    ``tol`` lies below it reports ``converged`` False.
+    ``iterations`` counts the accepted steps and ``rejected`` the rejected
+    pseudo-time trial steps, so an alpha != 0 solve made iterations +
+    rejected tridiagonal solves; ``solve_general``, whose iterations are
+    fixed-point steps, reports 0.  ``dt`` is the pseudo time step of the
+    last accepted pseudo-time step (DT_MAX for a Newton step, inf when none
+    was taken, as in Howard rounds).  ``residual_floor`` is the smallest
+    residual floating point resolves at the returned solution (``_floor``);
+    a solve that stops there because ``tol`` lies below it reports
+    ``converged`` False.
     """
 
     solution: GridFunction
@@ -213,6 +237,7 @@ class SolveReport:
     barrier_ok: Optional[bool] = None
     sandwich_ok: Optional[bool] = None
     residual_floor: Optional[float] = None
+    rejected: int = 0
 
     def summary(self):
         return {
@@ -221,6 +246,7 @@ class SolveReport:
             "residual_sup": self.residual_sup,
             "residual_floor": self.residual_floor,
             "iterations": self.iterations,
+            "rejected": self.rejected,
             "sup_norm": self.solution.sup_norm(),
         }
 
@@ -451,25 +477,44 @@ class _Driver:
         """Adaptive pseudo-time stepping until the residual drops below tol.
 
         Starts at ``dt`` (the CFL-style step if None): dt = DT_MAX is a
-        Newton step.  Step acceptance and the dt policy (halve on increase,
-        grow 1.1x on decrease) use the Euclidean residual norm as merit: it
-        tolerates the single-node flips the degenerate gradient factor
-        produces, and since sup <= l2 the sup-norm convergence test is only
-        taken earlier.  The bands are built once per accepted iterate and
-        reused by the steps rejected from it, where only dt changes; each
-        step is one LAPACK gtsv solve of (I - dt L) du = dt * residual.
-        Returns (v, res, aux, rs, bands, steps, dt_used, bound_violation,
-        at_floor), bands those of the returned v if built (else None).
-        Stops on a step rejected from an iterate whose residual is at its
-        floor (at_floor), on a stall (too many consecutive rejected steps
-        once the ``watchdogs`` forced Newton steps are spent), on the step
-        budget, or on an iterate escaping past U_max.
+        Newton step.  Step acceptance uses the Euclidean residual norm as
+        merit: it tolerates the single-node flips the degenerate gradient
+        factor produces, and since sup <= l2 the sup-norm convergence test
+        is only taken earlier.  dt grows DT_FACTOR-fold on an accepted step
+        and shrinks as much on a rejected one.  The bands are built once per
+        accepted iterate and reused by the steps rejected from it, where
+        only dt changes; each step is one LAPACK gtsv solve of
+        (I - dt L) du = dt * residual.
+
+        The first rejection from an iterate also takes the Gershgorin margin
+        m of -L (``_floor_margin``).  With m > 0, -L + I/dt has margin
+        m + 1/dt, so the step du(dt) and the Newton step du_N = -L^-1 res
+        satisfy du(dt) - du_N = -(1/dt) (-L + I/dt)^-1 du_N and
+
+            |du(dt) - du_N|_inf <= |du_N|_inf / (1 + m dt).
+
+        Every trial at dt >= MARGIN_STEPS / m repeats the rejected step to
+        within 1/(1 + MARGIN_STEPS) = 1/65, so dt is cut to at most
+        MARGIN_STEPS / m before it halves, and the first trial after the
+        cut lies within 2/(2 + MARGIN_STEPS) of the Newton step.  A smaller
+        MARGIN_STEPS would save a halving per factor 2 but skip trials that
+        differ from the rejected step by more than a few percent.  With
+        m <= 0 dt halves from where it was.
+
+        Returns (v, res, aux, rs, bands, steps, rejected, dt_used,
+        bound_violation, at_floor): bands those of the returned v if built
+        (else None), rejected the trial steps rejected, dt_used the dt of
+        the last accepted step (inf if none).  Stops on a step rejected
+        from an iterate whose residual is at its floor (at_floor), on a
+        stall (too many consecutive rejected steps once the ``watchdogs``
+        forced Newton steps are spent), on the step budget, or on an
+        iterate escaping past U_max.
         """
         if dt is None:
             dt = self._default_dt0(aux[0])
-        dt_used = dt
-        steps = 0
-        rejects = 0
+        dt_used = math.inf
+        steps = rejected = 0
+        rejects = 0  # consecutive rejections, against opts.max_rejects
         bound_violation = at_floor = False
         merit = math.sqrt(res @ res)
         best = (v, res, aux, rs, None)
@@ -504,13 +549,16 @@ class _Driver:
                 res_new, aux_new = self.residual(g, v_new)
                 merit_new = math.sqrt(res_new @ res_new)
             if not (merit_new < merit) and not (forced and math.isfinite(merit_new)):
+                rejected += 1
                 if floor is None:
                     # the first rejection from this iterate
-                    floor = _floor(v, bands)
+                    floor, margin = _floor_margin(v, bands)
                     if rs <= floor:
                         at_floor = True
                         break
-                dt *= DT_SHRINK
+                    if margin > 0.0:
+                        dt = min(dt, MARGIN_STEPS / margin)
+                dt /= DT_FACTOR
                 rejects += 1
                 continue
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
@@ -520,11 +568,11 @@ class _Driver:
                 best = (v, res, aux, rs, None)
             steps += 1
             rejects = 0
-            dt = min(dt * DT_GROWTH, DT_MAX)
             dt_used = dt
+            dt = min(dt * DT_FACTOR, DT_MAX)
         if rs > best[3]:
             v, res, aux, rs, bands = best
-        return v, res, aux, rs, bands, steps, dt_used, bound_violation, at_floor
+        return v, res, aux, rs, bands, steps, rejected, dt_used, bound_violation, at_floor
 
     def solve(self, g, v0, opts, res0=None, aux0=None):
         """Drive the residual below opts.tol from the initial state v0.
@@ -535,9 +583,11 @@ class _Driver:
         (``_floor``).  A first run that stalls above the floor gets one
         pseudo-time run from the CFL-style dt, whose watchdog forces Newton
         steps through stalls.
-        Returns (v, res, aux, rs, bands, iterations, dt, converged,
-        bound_violation), bands those of v if a run built them, else None.
-        ``res0``/``aux0`` may carry a residual already evaluated at v0.
+        Returns (v, res, aux, rs, bands, iterations, rejected, dt, converged,
+        bound_violation): bands those of v if a run built them, else None;
+        rejected the pseudo-time trial steps rejected; dt that of the last
+        accepted pseudo-time step (inf if none).  ``res0``/``aux0`` may
+        carry a residual already evaluated at v0.
         """
         v = v0
         if self.alpha > 0.0 and not v.any():
@@ -549,7 +599,7 @@ class _Driver:
         res, aux = res0, aux0
         rs = _supabs(res)
         tol = opts.tol
-        iterations = 0
+        iterations = rejected = 0
         bands = None
         dt_used = math.inf
         bound_violation = False
@@ -561,17 +611,22 @@ class _Driver:
                 )
             else:
                 dt0 = opts.dt0 if opts.dt0 is not None else DT_MAX
-                v, res, aux, rs, bands, iterations, dt_used, bound_violation, at_floor = (
-                    self._ptc(g, v, res, aux, rs, tol, opts, opts.max_iter, dt0)
-                )
+                (v, res, aux, rs, bands, iterations, rejected, dt_used, bound_violation,
+                 at_floor) = self._ptc(g, v, res, aux, rs, tol, opts, opts.max_iter, dt0)
             budget = opts.max_iter - iterations
             if rs > tol and not (at_floor or bound_violation) and budget > 0:
-                v, res, aux, rs, bands, steps, dt_used, bound_violation, _ = self._ptc(
+                v, res, aux, rs, bands, steps, more, dt_run, bound_violation, _ = self._ptc(
                     g, v, res, aux, rs, tol, opts, budget, None, 3
                 )
                 iterations += steps
+                rejected += more
+                if steps:
+                    dt_used = dt_run
 
-        return v, res, aux, rs, bands, iterations, dt_used, rs <= tol, bound_violation
+        return (
+            v, res, aux, rs, bands, iterations, rejected, dt_used, rs <= tol,
+            bound_violation,
+        )
 
 
 def _initial_array(opts, n):
@@ -616,7 +671,7 @@ def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
         inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        u, res, aux, rs, _, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
         if not ok:
             raise InnerSolveError(
                 step,
@@ -693,13 +748,16 @@ def solve_neumann(
     c0 = float(-np.max(c_eff))
     driver = _Driver(op, grid, b, c_eff, opts.workspace)
     v0 = _initial_array(opts, grid.n)
-    v, _, aux, rs, bands, iterations, dt, converged, bound_violation = driver.solve(g, v0, opts)
+    v, _, aux, rs, bands, iterations, rejected, dt, converged, bound_violation = (
+        driver.solve(g, v0, opts)
+    )
     if bands is None:
         bands = driver._bands(v, aux)
     report = SolveReport(
         solution=GridFunction(grid, v),
         residual_sup=rs,
         iterations=iterations,
+        rejected=rejected,
         dt=dt,
         converged=converged,
         bound_violation=bound_violation and not converged,

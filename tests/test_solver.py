@@ -434,7 +434,7 @@ def test_bands_match_finite_difference_jacobian(name):
 
 
 def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
-    # a rejected step only halves dt, so it must not rebuild the bands: within
+    # a rejected step only changes dt, so it must not rebuild the bands: within
     # one pseudo-time run every _bands call is on a new (iterate, aux) pair
     calls = []
     runs = [0]
@@ -534,3 +534,83 @@ def test_cold_positive_alpha_solves_take_newton_steps(op, u0):
     assert rep.converged and rep.barrier_ok
     assert rep.iterations <= 20
     assert rep.solution.values[0] == pytest.approx(u0, abs=1e-8)
+
+
+def _counted_gtsv(monkeypatch):
+    """Record (dt, du) of every gtsv trial step.  The sub-diagonal passed
+    is -dt times that of the bands last built, so dt is its projection."""
+    calls = []
+    built = []
+    bands, gtsv = _Driver._bands, solver._gtsv
+
+    def counted_bands(self, v, aux):
+        built.append(bands(self, v, aux))
+        return built[-1]
+
+    def counted_gtsv(lower, *args):
+        band = built[-1][0]
+        dt = -float(lower @ band) / float(band @ band)
+        out = gtsv(lower, *args)
+        calls.append((dt, out[-2].copy()))
+        return out
+
+    monkeypatch.setattr(_Driver, "_bands", counted_bands)
+    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "op, max_steps, max_trials",
+    [
+        # 53 steps in 106 trials; 144 in 204 when dt grew 1.1x per step
+        (eb.EllipticOperator.p_laplacian(3.0), 70, 130),
+        # 38 steps in 69 trials before the floor stop; 182 in 247
+        (STEP_OPERATORS["pucci_minus_a-0.5"], 50, 90),
+    ],
+    ids=["p_laplacian_p3", "pucci_minus_a-0.5"],
+)
+def test_ptc_steps_past_the_newton_plateau(monkeypatch, op, max_steps, max_trials):
+    # after a rejected Newton step dt is cut to the Gershgorin scale of the
+    # Jacobian and then doubles on every accepted step, so the pseudo-time
+    # run neither halves dt through a plateau of identical trial steps nor
+    # climbs back 1.1x at a time
+    calls = _counted_gtsv(monkeypatch)
+    rep = eb.solve_neumann(op, MIX, 0.0, None, eb.build_grid(1.0, 2, 401))
+    assert rep.converged is (op.alpha > 0)
+    assert rep.iterations <= max_steps and len(calls) <= max_trials
+    # every trial step is accepted (an iteration) or rejected
+    assert rep.iterations + rep.rejected == len(calls)
+    assert rep.summary()["rejected"] == rep.rejected
+    if rep.converged:
+        # the last trial is the last accepted step, whose dt the report keeps
+        assert rep.dt == pytest.approx(calls[-1][0], rel=1e-12)
+
+
+def test_rejected_newton_step_cuts_dt_to_the_gershgorin_scale(monkeypatch):
+    # p = 3 from the pointwise start: the Newton step raises the residual
+    # norm from 150 to 799, and the bands give -L the margin m = 2^(1/2)
+    op = eb.EllipticOperator.p_laplacian(3.0)
+    grid = eb.build_grid(1.0, 2, 401)
+    b, c, _ = MIX.sample(grid.nodes)
+    g = MIX.g(grid.nodes)
+    driver = _Driver(op, grid, b, c)
+    v = eb.signed_power(g / c, -0.5)
+    res, aux = driver.residual(g, v)
+    bands = driver._bands(v, aux)
+    _, margin = solver._floor_margin(v, bands)
+    assert margin > 0.0
+    newton = solver._TriFactor(*bands).solve(-res)
+    calls = _counted_gtsv(monkeypatch)
+    opts = eb.SolveOptions()
+    out = driver._ptc(g, v, res, aux, solver._supabs(res), opts.tol, opts, 1, solver.DT_MAX)
+    steps, rejected, dt_used = out[5:8]
+    assert steps == 1 and rejected == len(calls) - 1 >= 1
+    assert calls[0][0] == pytest.approx(solver.DT_MAX)
+    assert dt_used == pytest.approx(calls[-1][0], rel=1e-12)
+    # the DT_MAX trial is the rejected Newton step; the next is at most
+    # MARGIN_STEPS / m, and the step there within 1/(1 + m dt) of Newton's
+    dt, du = calls[1]
+    assert dt <= solver.MARGIN_STEPS / margin
+    gap = np.abs(du - newton).max()
+    assert gap <= (1.0 + 1e-9) * np.abs(newton).max() / (1.0 + margin * dt)
+    assert gap <= 2.0 / (2.0 + solver.MARGIN_STEPS) * np.abs(newton).max()
