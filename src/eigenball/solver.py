@@ -44,12 +44,15 @@ loop (``_shifted_iterates``) from the negative envelope instead of 0.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .grid import GridFunction, RadialGrid
 # unused here, but the benchmark's tracer wraps eigenball.solver.derivative_arrays
@@ -86,7 +89,43 @@ HOWARD_MAX_ROUNDS = 64
 # safety factor on the eps * ||L|| backward error of the stencil
 ROUNDOFF_SAFETY = 10.0
 
-_gttrf, _gttrs, _gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.array([1.0]),))
+
+def _tridiagonal_lapack():
+    """LAPACK dgttrf, dgttrs and dgtsv from scipy's f2py extension
+    ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package.
+
+    The package ``__init__`` costs most of the import of eigenball (its
+    array-API shim loads numpy.f2py and numpy.testing); the extension alone
+    takes a few ms.  An already imported extension is used as is.  Otherwise
+    its file is loaded from scipy's install directory and the entry it makes
+    in ``sys.modules`` is removed, so a later ``import scipy.linalg`` builds
+    its own module; the extension is single-phase, so that module hands out
+    these same routine objects.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        scipy = importlib.util.find_spec("scipy")
+        locations = scipy.submodule_search_locations if scipy else None
+        paths = [
+            os.path.join(location, "linalg", "_flapack" + suffix)
+            for location in locations or ()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(
+                f"eigenball needs scipy >= 1.10 for its LAPACK extension {name}, "
+                "which was not found"
+            )
+        spec = importlib.util.spec_from_file_location(name, path)
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        sys.modules.pop(name, None)
+    return flapack.dgttrf, flapack.dgttrs, flapack.dgtsv
+
+
+_gttrf, _gttrs, _gtsv = _tridiagonal_lapack()
 
 
 def _supabs(x) -> float:
@@ -144,7 +183,8 @@ class Verdict(enum.Enum):
 
 
 class _TriFactor:
-    """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs)."""
+    """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs, bound
+    from scipy's LAPACK extension by ``_tridiagonal_lapack``)."""
 
     __slots__ = ("_lu", "bands")
 

@@ -1,3 +1,10 @@
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -614,3 +621,65 @@ def test_rejected_newton_step_cuts_dt_to_the_gershgorin_scale(monkeypatch):
     gap = np.abs(du - newton).max()
     assert gap <= (1.0 + 1e-9) * np.abs(newton).max() / (1.0 + margin * dt)
     assert gap <= 2.0 / (2.0 + solver.MARGIN_STEPS) * np.abs(newton).max()
+
+
+# ------------------------------ LAPACK binding -------------------------------
+
+SRC = str(Path(solver.__file__).resolve().parents[1])
+
+
+def _run_fresh(*parts):
+    """Run the script made of ``parts`` in a fresh interpreter with the
+    package on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", "".join(map(textwrap.dedent, parts))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_scipy_linalg():
+    out = _run_fresh("""
+        import sys
+        import eigenball.cli
+        print(" ".join(m for m in sys.modules if m.startswith("scipy.linalg")))
+    """)
+    assert out.split() == []
+
+
+SAME_ROUTINES = """
+    import numpy as np
+    import scipy.linalg
+    from eigenball import solver
+    routines = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.array([1.0]),))
+    assert routines[0] is solver._gttrf
+    assert routines[1] is solver._gttrs
+    assert routines[2] is solver._gtsv
+"""
+
+
+def test_lapack_routines_are_scipys_after_eigenball_import():
+    _run_fresh("""
+        import eigenball
+        import scipy.linalg
+        from scipy.optimize import minimize
+        assert scipy.linalg._flapack.dgtsv is eigenball.solver._gtsv
+        res = minimize(lambda x: ((x - 1.0) ** 2).sum(), [0.0, 3.0], method="L-BFGS-B")
+        assert res.success and abs(res.x - 1.0).max() < 1e-6
+    """, SAME_ROUTINES)
+
+
+def test_lapack_routines_are_scipys_after_scipy_linalg_import():
+    _run_fresh("""
+        import scipy.linalg
+        import eigenball
+    """, SAME_ROUTINES)
+
+
+def test_lapack_loader_names_scipy_when_the_extension_is_missing(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.10"):
+        solver._tridiagonal_lapack()
