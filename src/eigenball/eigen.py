@@ -455,8 +455,10 @@ def solve_general(
     brackets (the caller's contract).  Builds the negative solution u0 for
     data |g|_inf and the positive solution v0 for data -|g|_inf, then runs
     the shifted fixed-point loop of ``monotone_iteration``
-    (``solver._shifted_iterates``, same shift and inner tolerances) started
-    at u0.  Every iterate must stay inside the sandwich
+    (``solver._shifted_iterates``, with its shift s = max(max c + 1,
+    -lambda) and inner tolerances) started at u0.  When lambda <= -max c - 1
+    the shift makes lambda + s = 0, so the first inner solve is the problem
+    itself.  Every iterate must stay inside the sandwich
     [u0 - slack, v0 + slack]; an escape is reported as a discrete sandwich
     violation (``sandwich_ok=False``), not silently accepted.  The loop stops
     once the full residual is within ``opts.tol`` or an iterate changes by

@@ -107,10 +107,13 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write `r,u` rows at full double precision (17 significant digits)."""
+        # Python floats format as np.float64 does, at a fraction of the cost
+        rows = "".join(
+            f"{r:.17g},{u:.17g}\n"
+            for r, u in zip(self.grid.nodes.tolist(), self.values.tolist())
+        )
         with open(path, "w", newline="\n") as fh:
-            fh.write("r,u\n")
-            for r, u in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{u:.17g}\n")
+            fh.write("r,u\n" + rows)
 
     @classmethod
     def from_csv(cls, path, N_dim: int) -> "GridFunction":

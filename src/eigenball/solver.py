@@ -32,13 +32,29 @@ the central stencil, except in those one-sided rows.
 
 ``monotone_iteration`` runs the shifted-problem fixed point
 
-    u_{n+1} solves  F + b-term + (c - |c|_inf - 1)|u_{n+1}|^alpha u_{n+1}
-                    = g - (lambda + |c|_inf + 1)|u_n|^alpha u_n,   u_1 = 0,
+    u_{n+1} solves  F + b-term + (c - s)|u_{n+1}|^alpha u_{n+1}
+                    = g - (lambda + s)|u_n|^alpha u_n,   u_1 = 0,
+
+    s = max(max c + 1, -lambda),
 
 whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
 (direction="down") they decrease.  ``eigen.solve_general`` runs the same
 loop (``_shifted_iterates``) from the negative envelope instead of 0.
+
+The dichotomy needs two facts about the shift s, and s is the smallest
+that gives both: c - s <= -1, so every inner problem is coercive with the
+barrier of ``solve_neumann``, and lambda + s >= 0, so the map
+u_n -> u_{n+1} is order-preserving.  With g = 0 the map sends t phi, phi
+the principal eigenfunction, to t' phi with
+|t'|^alpha t' = |t|^alpha t (lambda + s)/(lambda_bar + s), where
+lambda_bar + s >= 1 because lambda_bar >= -max c; for alpha = 0 that rate
+is the contraction or growth of the change between iterates along phi.
+Below lambda_bar the rate is < 1 and falls as s shrinks, above it the
+rate is > 1 and rises as s shrinks, so the smallest admissible s settles
+or escapes in the fewest steps.  For every lambda >= -|c|_inf - 1 it is at
+most |c|_inf + 1, with equality at lambda = -|c|_inf - 1, the lower end of
+the eigenvalue bisection.
 """
 
 from __future__ import annotations
@@ -687,9 +703,11 @@ def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
     raises ``InnerSolveError``.
     """
     c_inf = float(np.max(np.abs(c)))
-    factor = lam + c_inf + 1.0
+    # the smallest admissible shift (module docstring)
+    shift = max(float(np.max(c)) + 1.0, -lam)
+    factor = lam + shift
     g_sup = float(np.max(np.abs(g)))
-    driver = _Driver(op, grid, b, c - c_inf - 1.0, workspace)
+    driver = _Driver(op, grid, b, c - shift, workspace)
     # attainable residual floor of the inner solves, per unit of ||u||
     eps_floor = _rounding_floor(op, grid, c_inf)
     inner = SolveOptions(max_iter=opts.inner_max_iter)
@@ -823,11 +841,13 @@ def monotone_iteration(
 
     direction="up" requires g <= 0 node-wise and produces nondecreasing
     nonnegative iterates; direction="down" requires g >= 0 and mirrors to
-    nonincreasing nonpositive iterates.  Each inner problem has zero-order
-    coefficient c - |c|_inf - 1 <= -1, so its solve precondition holds by
-    construction.  Inner tolerances are tol/10, scaled by a bound on the
-    inner right-hand side so they stay meaningful when the iterates grow
-    large, and never below the stencil's rounding floor.
+    nonincreasing nonpositive iterates.  The shift is the smallest
+    admissible one, s = max(max c + 1, -lambda) (module docstring): each
+    inner problem has zero-order coefficient c - s <= -1, so its solve
+    precondition holds by construction, and the factor lambda + s >= 0 keeps
+    the iteration order-preserving.  Inner tolerances are tol/10, scaled by
+    a bound on the inner right-hand side so they stay meaningful when the
+    iterates grow large, and never below the stencil's rounding floor.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import eigenball as eb
@@ -176,6 +178,17 @@ def test_solve_general_sign_changing_data():
         assert rep.residual_sup <= 1e-9, name
 
 
+def test_solve_general_converges_on_the_benchmark_data():
+    # at lambda = 0 with c = -1 the shift s = max(max c + 1, -lambda) is 0, so
+    # the first inner solve is the problem itself
+    grid = eb.build_grid(1.0, 2, 401)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=lambda r: np.sin(3.0 * r) - 0.2)
+    rep = eb.solve_general(LAP, coeff, 0.0, None, grid)
+    assert rep.converged and rep.sandwich_ok
+    assert rep.residual_sup <= 1e-9
+    assert rep.iterations <= 3
+
+
 def test_solve_general_rejects_shift_above_threshold():
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=1.0)
     with pytest.raises(eb.PreconditionError):
@@ -295,6 +308,54 @@ def test_plaplacian_bracket_contains_rayleigh_minimum():
     assert ref == pytest.approx(1.461894, abs=1e-6)
     est = bracket(eb.EllipticOperator.p_laplacian(3.0), c, grid=grid, bracket_width=0.02)
     assert est.lambda_lo <= ref <= est.lambda_hi
+
+
+def test_plaplacian_bracket_takes_few_outer_steps(monkeypatch):
+    # the smallest admissible shift speeds up every monotone probe without
+    # moving a verdict: the same bracket as with the shift |c|_inf + 1, which
+    # took 25,262 outer steps
+    from eigenball import eigen
+
+    original = eigen.monotone_iteration
+    steps = []
+
+    def counted(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        steps.append(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(eigen, "monotone_iteration", counted)
+    est = bracket(eb.EllipticOperator.p_laplacian(3.0), lambda r: -1.0 - r**2,
+                  bracket_width=0.02)
+    assert (est.lambda_lo, est.lambda_hi) == (1.4558747174880124, 1.4745084375788635)
+    assert len(steps) == len(est.probes)
+    assert sum(steps) <= 10_000
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    a0=st.floats(-3.0, 2.0),
+    a2=st.floats(-5.0, 0.0),
+    kind=st.sampled_from(["laplacian", "pucci_minus", "pucci_plus"]),
+    N=st.sampled_from([2, 3]),
+    sign=st.sampled_from(["up", "down"]),
+)
+def test_monotone_verdicts_agree_with_cw_bracket(a0, a2, kind, N, sign):
+    # the shifted iteration stays bounded below the CW bracket and escapes
+    # above it, with monotone iterates, for sign-changing c as well
+    from eigenball.eigen import _collatz_wielandt
+
+    op = LAP if kind == "laplacian" else getattr(eb.EllipticOperator, kind)(1.0, 2.0)
+    grid = eb.build_grid(1.0, N, 51)
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: a0 + a2 * r**2, g=0.0)
+    cw = _collatz_wielandt(op, coeff, grid, sign)
+    assert cw is not None
+    g = -1.0 if sign == "up" else 1.0
+    opts = eb.SolveOptions(max_iter=400_000)
+    for lam, verdict in ((cw.lo - 0.2, eb.Verdict.CONVERGED), (cw.hi + 0.2, eb.Verdict.UNBOUNDED)):
+        rep = eb.monotone_iteration(op, coeff, lam, g, grid, opts, direction=sign)
+        assert rep.verdict is verdict, lam
+        assert rep.monotone, lam
 
 
 def test_three_dimensional_pucci_has_cw_bracket():

@@ -370,6 +370,28 @@ def test_monotone_blowup_survives_large_scales():
     assert rep.monotone
 
 
+def test_monotone_rate_matches_the_smallest_shift():
+    # with c = -1 and g = -1 the iterates are constants and lambda_bar = 1,
+    # so each step multiplies the change by exactly (lambda + s)/(1 + s),
+    # s = max(max c + 1, -lambda) = max(0, -lambda)
+    g = eb.build_grid(1.0, 2, 51)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    rep = eb.monotone_iteration(LAP, coeff, 0.9, None, g)
+    assert rep.verdict is Verdict.CONVERGED
+    change = np.diff(rep.sup_norms)
+    # above 1e-5 the rounding of the differences stays below 1e-10
+    change = change[change > 1e-5]
+    assert len(change) > 50
+    assert np.abs(change[1:] / change[:-1] - 0.9).max() <= 1e-9
+    # rate 2: the sup-norm is 2^k - 1 after k steps, past 1e6 at k = 20
+    rep = eb.monotone_iteration(LAP, coeff, 2.0, None, g)
+    assert rep.verdict is Verdict.UNBOUNDED and rep.iterations <= 21
+    # s = 2 makes lambda + s = 0: the first step is the solution 1/3
+    rep = eb.monotone_iteration(LAP, coeff, -2.0, None, g)
+    assert rep.verdict is Verdict.CONVERGED and rep.iterations <= 2
+    assert np.abs(rep.final.values - 1.0 / 3.0).max() < 1e-12
+
+
 def test_workspace_reuse_is_equivalent():
     g = eb.build_grid(1.0, 2, 101)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
