@@ -228,7 +228,8 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
         return None
     if direction == "down":
         op = op.reflect()
-    b, c, _ = coeff.sample(grid.nodes)
+    r = grid.nodes
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     driver = _Driver(op, grid, b, c)
     if not _monotone_stencil(driver):
         return None
@@ -466,7 +467,7 @@ def solve_general(
     """
     opts = opts if opts is not None else SolveOptions()
     r = grid.nodes
-    b, c, _ = coeff.sample(r)
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
     g_sup = float(np.max(np.abs(g)))
 

@@ -11,15 +11,17 @@ alpha = 0, L is the frozen-policy operator (L v = G(v) exactly), so the
 steps are Howard policy iteration, with the factorization cached while the
 eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian
 and the steps are pseudo-transient continuation, (I - dt L) du =
-dt * residual, from dt = DT_MAX, i.e. Newton steps; dt halves on a
-residual increase and doubles on a decrease, and L is built once per
-accepted iterate, so a rejected step only changes dt.  The first rejection
-from an iterate cuts dt to at most MARGIN_STEPS over the Gershgorin margin
-of -L before halving: above that, every trial repeats the rejected Newton
-step.  A step rejected from an iterate whose residual is at its rounding
-floor (``_floor``) ends the solve; a first run that stalls above the floor
-gets one pseudo-time run from the CFL-style dt, whose watchdog forces
-Newton steps through stalls.
+dt * residual, from dt = DT_MAX, i.e. Newton steps.  A Newton step that
+raises the Euclidean residual norm is backtracked first: the points
+v + 2^-k du, k = 1..BACKTRACKS, cost one residual each and no solve, and
+the first that lowers the norm is accepted.  Only when none does, dt is cut
+to at most MARGIN_STEPS over the Gershgorin margin of -L (above that, every
+trial repeats the rejected Newton step) and then halves on a residual
+increase and doubles on a decrease.  L is built once per accepted iterate,
+so a rejected trial only changes dt or the step length.  A step rejected
+from an iterate whose residual is at its rounding floor (``_floor``) ends
+the solve; a first run that stalls above the floor gets one pseudo-time run
+from the CFL-style dt, whose watchdog forces Newton steps through stalls.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -100,6 +102,8 @@ DT_MAX = 1e12
 # a rejected step cuts dt to at most MARGIN_STEPS over the Gershgorin margin
 # of -L, above which trial steps repeat the Newton step (``_Driver._ptc``)
 MARGIN_STEPS = 64.0
+# a rejected Newton step is first backtracked to v + 2^-k du, k = 1..BACKTRACKS
+BACKTRACKS = 10
 HOWARD_MAX_ROUNDS = 64
 
 # safety factor on the eps * ||L|| backward error of the stencil
@@ -273,14 +277,15 @@ class SolveReport:
     """Outcome of one Neumann solve.
 
     ``iterations`` counts the accepted steps and ``rejected`` the rejected
-    pseudo-time trial steps, so an alpha != 0 solve made iterations +
-    rejected tridiagonal solves; ``solve_general``, whose iterations are
-    fixed-point steps, reports 0.  ``dt`` is the pseudo time step of the
-    last accepted pseudo-time step (DT_MAX for a Newton step, inf when none
-    was taken, as in Howard rounds).  ``residual_floor`` is the smallest
-    residual floating point resolves at the returned solution (``_floor``);
-    a solve that stops there because ``tol`` lies below it reports
-    ``converged`` False.
+    pseudo-time trial steps and backtracked points (``_Driver._ptc``); each
+    costs one residual evaluation, and only trial steps make a tridiagonal
+    solve.  ``solve_general``, whose iterations are fixed-point steps,
+    reports 0.  ``dt`` is the pseudo time step of the last accepted
+    pseudo-time step (DT_MAX for a Newton step, backtracked or not; inf
+    when none was taken, as in Howard rounds).  ``residual_floor`` is the
+    smallest residual floating point resolves at the returned solution
+    (``_floor``); a solve that stops there because ``tol`` lies below it
+    reports ``converged`` False.
     """
 
     solution: GridFunction
@@ -538,12 +543,24 @@ class _Driver:
         factor produces, and since sup <= l2 the sup-norm convergence test
         is only taken earlier.  dt grows DT_FACTOR-fold on an accepted step
         and shrinks as much on a rejected one.  The bands are built once per
-        accepted iterate and reused by the steps rejected from it, where
-        only dt changes; each step is one LAPACK gtsv solve of
-        (I - dt L) du = dt * residual.
+        accepted iterate and reused by the trials rejected from it, where
+        only dt or the step length changes; each trial step is one LAPACK
+        gtsv solve of (I - dt L) du = dt * residual.
 
-        The first rejection from an iterate also takes the Gershgorin margin
-        m of -L (``_floor_margin``).  With m > 0, -L + I/dt has margin
+        A rejected Newton step du (dt >= DT_MAX, solved, not forced by the
+        watchdog) from an iterate above its floor is backtracked first
+        (Dennis & Schnabel 1996, sec. 6.3): the points v + 2^-k du,
+        k = 1..BACKTRACKS, each cost one residual and no solve, and the
+        first that lowers the merit is accepted as a step at dt = DT_MAX,
+        so the next trial is a Newton step again.  Where the bands are the
+        exact Jacobian J, du = -J^-1 res is a descent direction of the merit
+        (its derivative along du is -|res|), so a short enough point lowers
+        it; at the Pucci and gradient-floor kinks, and where the bands floor
+        |s| or |v|, it need not.
+
+        When no backtracked point lowers the merit, the Gershgorin margin
+        m of -L (``_floor_margin``, taken at the first rejection from the
+        iterate with its floor) cuts dt.  With m > 0, -L + I/dt has margin
         m + 1/dt, so the step du(dt) and the Newton step du_N = -L^-1 res
         satisfy du(dt) - du_N = -(1/dt) (-L + I/dt)^-1 du_N and
 
@@ -559,12 +576,13 @@ class _Driver:
 
         Returns (v, res, aux, rs, bands, steps, rejected, dt_used,
         bound_violation, at_floor): bands those of the returned v if built
-        (else None), rejected the trial steps rejected, dt_used the dt of
-        the last accepted step (inf if none).  Stops on a step rejected
-        from an iterate whose residual is at its floor (at_floor), on a
-        stall (too many consecutive rejected steps once the ``watchdogs``
-        forced Newton steps are spent), on the step budget, or on an
-        iterate escaping past U_max.
+        (else None), rejected the rejected trial steps and backtracked
+        points, dt_used the dt of the last accepted step (inf if none).
+        Stops on a step rejected from an iterate whose residual is at its
+        floor (at_floor), on a stall (too many consecutive rejections,
+        backtracked points included, once the ``watchdogs`` forced Newton
+        steps are spent), on the step budget, or on an iterate escaping
+        past U_max.
         """
         if dt is None:
             dt = self._default_dt0(aux[0])
@@ -575,6 +593,7 @@ class _Driver:
         merit = math.sqrt(res @ res)
         best = (v, res, aux, rs, None)
         bands = floor = None
+        backtracks = 0  # points left along a rejected Newton step
         while steps < budget and rs > tol:
             if bands is None:
                 if _supabs(v) > opts.U_max:
@@ -584,20 +603,26 @@ class _Driver:
                 if best[0] is v:
                     best = (*best[:4], bands)
             forced = False
-            if rejects > opts.max_rejects:
-                # the merit landscape has a local minimum away from the
-                # solution (degenerate rows do this); force one full Newton
-                # step through the barrier, keeping the best state on file
-                if watchdogs == 0:
-                    break
-                watchdogs -= 1
-                rejects = 0
-                dt = DT_MAX
-                forced = True
-            # the four arrays are temporaries, so LAPACK may overwrite them
-            *_, du, info = _gtsv(
-                -dt * lower, 1.0 - dt * diag, -dt * upper, dt * res, 1, 1, 1, 1
-            )
+            if backtracks:
+                # the next point along the rejected Newton step: no solve
+                backtracks -= 1
+                du *= 0.5
+            else:
+                if rejects > opts.max_rejects:
+                    # the merit landscape has a local minimum away from the
+                    # solution (degenerate rows do this); force one full
+                    # Newton step through the barrier, keeping the best state
+                    # on file
+                    if watchdogs == 0:
+                        break
+                    watchdogs -= 1
+                    rejects = 0
+                    dt = DT_MAX
+                    forced = True
+                # the four arrays are temporaries, so LAPACK may overwrite them
+                *_, du, info = _gtsv(
+                    -dt * lower, 1.0 - dt * diag, -dt * upper, dt * res, 1, 1, 1, 1
+                )
             if info != 0:
                 merit_new = math.inf
             else:
@@ -606,19 +631,25 @@ class _Driver:
                 merit_new = math.sqrt(res_new @ res_new)
             if not (merit_new < merit) and not (forced and math.isfinite(merit_new)):
                 rejected += 1
+                rejects += 1
                 if floor is None:
                     # the first rejection from this iterate
                     floor, margin = _floor_margin(v, bands)
                     if rs <= floor:
                         at_floor = True
                         break
-                    if margin > 0.0:
-                        dt = min(dt, MARGIN_STEPS / margin)
+                    if dt >= DT_MAX and info == 0 and not forced:
+                        backtracks = BACKTRACKS
+                if backtracks:
+                    continue
+                # a no-op once dt was cut from this iterate
+                if margin > 0.0:
+                    dt = min(dt, MARGIN_STEPS / margin)
                 dt /= DT_FACTOR
-                rejects += 1
                 continue
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
             bands = floor = None
+            backtracks = 0
             rs = _supabs(res)
             if rs < best[3]:
                 best = (v, res, aux, rs, None)
@@ -635,15 +666,15 @@ class _Driver:
 
         alpha = 0 runs Howard rounds; alpha != 0 runs pseudo-time steps from
         dt = DT_MAX (opts.dt0 if set), which are Newton steps on the exact
-        Jacobian, halved on rejection.  Either stops at the residual floor
-        (``_floor``).  A first run that stalls above the floor gets one
-        pseudo-time run from the CFL-style dt, whose watchdog forces Newton
-        steps through stalls.
+        Jacobian, backtracked and then halved on rejection (``_ptc``).
+        Either stops at the residual floor (``_floor``).  A first run that
+        stalls above the floor gets one pseudo-time run from the CFL-style
+        dt, whose watchdog forces Newton steps through stalls.
         Returns (v, res, aux, rs, bands, iterations, rejected, dt, converged,
         bound_violation): bands those of v if a run built them, else None;
-        rejected the pseudo-time trial steps rejected; dt that of the last
-        accepted pseudo-time step (inf if none).  ``res0``/``aux0`` may
-        carry a residual already evaluated at v0.
+        rejected the rejected pseudo-time trial steps and backtracked
+        points; dt that of the last accepted pseudo-time step (inf if none).
+        ``res0``/``aux0`` may carry a residual already evaluated at v0.
         """
         v = v0
         if self.alpha > 0.0 and not v.any():
@@ -752,7 +783,7 @@ def residual(
     """Node-wise residual G(u) + lambda |u|^alpha u - g with Neumann stencils."""
     grid = u.grid
     r = grid.nodes
-    b, c, _ = coeff.sample(r)
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
     driver = _Driver(op, grid, b, c + lam)
     res, _ = driver.residual(g, u.values)
@@ -792,7 +823,7 @@ def solve_neumann(
     opts = opts if opts is not None else SolveOptions()
     op.validate_profiles(grid.nodes)
     r = grid.nodes
-    b, c, _ = coeff.sample(r)
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
     c_eff = c + lam
     bad = np.flatnonzero(c_eff >= 0)
@@ -854,7 +885,7 @@ def monotone_iteration(
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     op.validate_profiles(grid.nodes)
     r = grid.nodes
-    b, c, _ = coeff.sample(r)
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
     if direction == "up" and np.max(g) > 0:
         raise PreconditionError(

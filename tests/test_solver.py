@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigenball as eb
 from eigenball import solver
@@ -463,8 +465,9 @@ def test_bands_match_finite_difference_jacobian(name):
 
 
 def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
-    # a rejected step only changes dt, so it must not rebuild the bands: within
-    # one pseudo-time run every _bands call is on a new (iterate, aux) pair
+    # a rejected trial step only changes dt, or the length of the Newton step
+    # when it is backtracked, so it must not rebuild the bands: within one
+    # pseudo-time run every _bands call is on a new (iterate, aux) pair
     calls = []
     runs = [0]
     attempts = [0]
@@ -490,7 +493,8 @@ def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
         b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
     )
     rep = eb.solve_neumann(STEP_OPERATORS["pucci_minus_a-0.5"], coeff, 0.0, None, g)
-    assert attempts[0] > rep.iterations  # some steps were rejected
+    # some iterate made more than one trial solve
+    assert attempts[0] > rep.iterations
     keys = [(run, id(v), id(aux)) for run, v, aux in calls]
     assert len(set(keys)) == len(keys)
 
@@ -588,36 +592,53 @@ def _counted_gtsv(monkeypatch):
     return calls
 
 
+def _counted_residual(monkeypatch):
+    """Record (v, Euclidean merit) of every residual evaluation."""
+    points = []
+    residual = _Driver.residual
+
+    def counted_residual(self, g, v):
+        out = residual(self, g, v)
+        points.append((v.copy(), float(np.sqrt(out[0] @ out[0]))))
+        return out
+
+    monkeypatch.setattr(_Driver, "residual", counted_residual)
+    return points
+
+
 @pytest.mark.parametrize(
     "op, max_steps, max_trials",
     [
-        # 53 steps in 106 trials; 144 in 204 when dt grew 1.1x per step
-        (eb.EllipticOperator.p_laplacian(3.0), 70, 130),
-        # 38 steps in 69 trials before the floor stop; 182 in 247
-        (STEP_OPERATORS["pucci_minus_a-0.5"], 50, 90),
+        # 14 steps and 14 gtsv calls; 53 steps in 106 gtsv calls when every
+        # rejected Newton step went to the margin cut and dt halving
+        (eb.EllipticOperator.p_laplacian(3.0), 20, 20),
+        # 13 steps and 14 gtsv calls before the floor stop; 38 in 69
+        (STEP_OPERATORS["pucci_minus_a-0.5"], 16, 16),
     ],
     ids=["p_laplacian_p3", "pucci_minus_a-0.5"],
 )
 def test_ptc_steps_past_the_newton_plateau(monkeypatch, op, max_steps, max_trials):
-    # after a rejected Newton step dt is cut to the Gershgorin scale of the
-    # Jacobian and then doubles on every accepted step, so the pseudo-time
-    # run neither halves dt through a plateau of identical trial steps nor
-    # climbs back 1.1x at a time
+    # a rejected Newton step is backtracked along its own direction at the
+    # cost of one residual per point, so the run neither halves dt through a
+    # plateau of near-identical trial steps nor climbs it back
     calls = _counted_gtsv(monkeypatch)
+    points = _counted_residual(monkeypatch)
     rep = eb.solve_neumann(op, MIX, 0.0, None, eb.build_grid(1.0, 2, 401))
     assert rep.converged is (op.alpha > 0)
     assert rep.iterations <= max_steps and len(calls) <= max_trials
-    # every trial step is accepted (an iteration) or rejected
-    assert rep.iterations + rep.rejected == len(calls)
+    # every point after the start is accepted (an iteration) or rejected, a
+    # backtracked point included, and only the trial steps solve
+    assert rep.iterations + rep.rejected == len(points) - 1
+    assert len(calls) <= len(points) - 1
     assert rep.summary()["rejected"] == rep.rejected
     if rep.converged:
         # the last trial is the last accepted step, whose dt the report keeps
         assert rep.dt == pytest.approx(calls[-1][0], rel=1e-12)
 
 
-def test_rejected_newton_step_cuts_dt_to_the_gershgorin_scale(monkeypatch):
+def test_rejected_newton_step_backtracks_before_any_pseudo_time_trial(monkeypatch):
     # p = 3 from the pointwise start: the Newton step raises the residual
-    # norm from 150 to 799, and the bands give -L the margin m = 2^(1/2)
+    # norm from 150 to 799, v + du/2 gives 217 and v + du/4 is accepted at 126
     op = eb.EllipticOperator.p_laplacian(3.0)
     grid = eb.build_grid(1.0, 2, 401)
     b, c, _ = MIX.sample(grid.nodes)
@@ -625,24 +646,103 @@ def test_rejected_newton_step_cuts_dt_to_the_gershgorin_scale(monkeypatch):
     driver = _Driver(op, grid, b, c)
     v = eb.signed_power(g / c, -0.5)
     res, aux = driver.residual(g, v)
+    merit = float(np.sqrt(res @ res))
+    calls = _counted_gtsv(monkeypatch)
+    points = _counted_residual(monkeypatch)
+    opts = eb.SolveOptions()
+    out = driver._ptc(g, v, res, aux, solver._supabs(res), opts.tol, opts, 1, solver.DT_MAX)
+    steps, rejected, dt_used = out[5:8]
+    # one solve, the Newton step, then points v + 2^-k du_N with no solve
+    assert len(calls) == 1 and calls[0][0] == pytest.approx(solver.DT_MAX)
+    du = calls[0][1]
+    assert 2 <= len(points) <= 1 + solver.BACKTRACKS
+    for k, (point, _) in enumerate(points):
+        assert np.array_equal(point, v + du * 2.0**-k)
+    # every point but the last failed to lower the merit; the last did
+    assert all(m >= merit for _, m in points[:-1]) and points[-1][1] < merit
+    assert steps == 1 and rejected == len(points) - 1
+    # the accepted point is a (backtracked) Newton step
+    assert dt_used == solver.DT_MAX
+    assert np.array_equal(out[0], points[-1][0])
+
+
+def test_failed_backtracking_cuts_dt_to_the_gershgorin_scale(monkeypatch):
+    # Pucci- (a = 0.5, A = 3, alpha = 1) at n = 1601 with drift: on its third
+    # iterate no point along the rejected Newton step lowers the merit
+    op = eb.EllipticOperator.pucci_minus(0.5, 3.0, 1.0)
+    grid = eb.build_grid(1.0, 2, 1601)
+    coeff = eb.CoefficientField(
+        b=0.3, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.9 * np.cos(np.pi * r)
+    )
+    iterates = []
+    bands = _Driver._bands
+
+    def recorded_bands(self, v, aux):
+        iterates.append(v)
+        return bands(self, v, aux)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Driver, "_bands", recorded_bands)
+        eb.solve_neumann(op, coeff, 0.0, None, grid, eb.SolveOptions(max_iter=3))
+    v = iterates[2]
+    b, c, g = coeff.sample(grid.nodes)
+    driver = _Driver(op, grid, b, c)
+    res, aux = driver.residual(g, v)
     bands = driver._bands(v, aux)
     _, margin = solver._floor_margin(v, bands)
     assert margin > 0.0
     newton = solver._TriFactor(*bands).solve(-res)
     calls = _counted_gtsv(monkeypatch)
+    points = _counted_residual(monkeypatch)
     opts = eb.SolveOptions()
     out = driver._ptc(g, v, res, aux, solver._supabs(res), opts.tol, opts, 1, solver.DT_MAX)
     steps, rejected, dt_used = out[5:8]
-    assert steps == 1 and rejected == len(calls) - 1 >= 1
+    assert steps == 1 and rejected == len(points) - 1 >= 1 + solver.BACKTRACKS
     assert calls[0][0] == pytest.approx(solver.DT_MAX)
     assert dt_used == pytest.approx(calls[-1][0], rel=1e-12)
-    # the DT_MAX trial is the rejected Newton step; the next is at most
-    # MARGIN_STEPS / m, and the step there within 1/(1 + m dt) of Newton's
+    # the Newton step and all BACKTRACKS points along it were rejected
+    du = calls[0][1]
+    for k, (point, merit) in enumerate(points[: 1 + solver.BACKTRACKS]):
+        assert np.array_equal(point, v + du * 2.0**-k)
+        assert merit >= np.sqrt(res @ res)
+    # the next trial is at most MARGIN_STEPS / m, and the step there within
+    # 1/(1 + m dt) of Newton's
     dt, du = calls[1]
     assert dt <= solver.MARGIN_STEPS / margin
     gap = np.abs(du - newton).max()
     assert gap <= (1.0 + 1e-9) * np.abs(newton).max() / (1.0 + margin * dt)
     assert gap <= 2.0 / (2.0 + solver.MARGIN_STEPS) * np.abs(newton).max()
+
+
+@pytest.mark.parametrize("n", [101, 401])
+@pytest.mark.parametrize("name", ["pucci_minus_a-0.5", "pucci_plus_a-0.5"])
+def test_singular_pucci_in_three_dimensions_reaches_its_floor(name, n):
+    # Newton steps that lower the Euclidean merit only when backtracked; with
+    # the margin cut and dt halving alone three of these four solves ran all
+    # 20,000 iterations and ended above their floor
+    grid = eb.build_grid(1.0, 3, n)
+    rep = eb.solve_neumann(STEP_OPERATORS[name], MIX, 0.0, None, grid)
+    assert not rep.converged
+    assert rep.iterations <= 30
+    assert rep.residual_sup <= rep.residual_floor
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(k for k, op in STEP_OPERATORS.items() if op.alpha != 0.0)),
+    N=st.sampled_from([2, 3]),
+    n=st.integers(21, 401),
+    a=st.floats(0.3, 2.0),
+    b=st.sampled_from([0.0, 0.3]),
+)
+def test_alpha_solves_converge_or_reach_their_floor(name, N, n, a, b):
+    # c = -1 - r^2 and g = -1 + a cos(pi r), sign-changing for a > 1
+    coeff = eb.CoefficientField(
+        b=b, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + a * np.cos(np.pi * r)
+    )
+    rep = eb.solve_neumann(STEP_OPERATORS[name], coeff, 0.0, None, eb.build_grid(1.0, N, n))
+    assert rep.converged or rep.residual_sup <= rep.residual_floor
+    assert rep.iterations <= 200
 
 
 # ------------------------------ LAPACK binding -------------------------------
