@@ -6,22 +6,22 @@
 
 on the ball under the homogeneous Neumann condition, in the coercive regime
 c + lambda <= -c0 < 0.  Every step solves a tridiagonal system with the
-exact linearization L of the discrete operator.  For gradient exponent
-alpha = 0, L is the frozen-policy operator (L v = G(v) exactly), so the
-steps are Howard policy iteration, with the factorization cached while the
-eigenvalue sign pattern is unchanged.  For alpha != 0, L is the Jacobian
-and the steps are pseudo-transient continuation, (I - dt L) du =
-dt * residual, from dt = DT_MAX, i.e. Newton steps.  A Newton step that
-raises the Euclidean residual norm is backtracked first: the points
-v + 2^-k du, k = 1..BACKTRACKS, cost one residual each and no solve, and
-the first that lowers the norm is accepted.  Only when none does, dt is cut
-to at most MARGIN_STEPS over the Gershgorin margin of -L (above that, every
-trial repeats the rejected Newton step) and then halves on a residual
-increase and doubles on a decrease.  L is built once per accepted iterate,
-so a rejected trial only changes dt or the step length.  A step rejected
-from an iterate whose residual is at its rounding floor (``_floor``) ends
-the solve; a first run that stalls above the floor gets one pseudo-time run
-from the CFL-style dt, whose watchdog forces Newton steps through stalls.
+exact linearization L of the discrete operator: pseudo-transient
+continuation, (I - dt L) du = dt * residual, from dt = DT_MAX, i.e. Newton
+steps.  For gradient exponent alpha = 0, L is the frozen-policy operator
+(L v = G(v) exactly), so the Newton steps are Howard policy iteration
+(Bokanowski, Maroso & Zidani 2009), du = -L^-1 residual from a
+factorization cached while the eigenvalue sign pattern is unchanged; for
+alpha != 0, L is the Jacobian.  A Newton step that raises the Euclidean
+residual norm is backtracked first: the points v + 2^-k du,
+k = 1..BACKTRACKS, cost one residual each and no solve, and the first that
+lowers the norm is accepted.  Only when none does, dt is cut to at most
+MARGIN_STEPS over the Gershgorin margin of -L (above that, every trial
+repeats the rejected Newton step) and then halves on a residual increase
+and doubles on a decrease.  L is built once per accepted iterate, so a
+rejected trial only changes dt or the step length.  A step rejected from
+an iterate whose residual is at its rounding floor (``_floor``) ends the
+solve.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -104,7 +104,6 @@ DT_MAX = 1e12
 MARGIN_STEPS = 64.0
 # a rejected Newton step is first backtracked to v + 2^-k du, k = 1..BACKTRACKS
 BACKTRACKS = 10
-HOWARD_MAX_ROUNDS = 64
 
 # safety factor on the eps * ||L|| backward error of the stencil
 ROUNDOFF_SAFETY = 10.0
@@ -149,7 +148,7 @@ _gttrf, _gttrs, _gtsv = _tridiagonal_lapack()
 
 
 def _supabs(x) -> float:
-    return float(max(np.maximum.reduce(x), -np.minimum.reduce(x)))
+    return float(np.maximum.reduce(np.abs(x)))
 
 
 def _floor_margin(v, bands):
@@ -229,7 +228,7 @@ class SolveOptions:
 
     ``tol`` is an absolute sup-norm residual (solve) or sup-norm change
     (iteration) tolerance.  ``dt0`` overrides DT_MAX, the pseudo time step
-    an alpha != 0 solve starts from.  ``initial`` seeds the iteration (zeros
+    a solve starts from.  ``initial`` seeds the iteration (zeros
     by default).  A ``workspace`` carries the factorization state between
     related solves; a solve owns its workspace, so concurrent solves must
     not share one.
@@ -277,12 +276,12 @@ class SolveReport:
     """Outcome of one Neumann solve.
 
     ``iterations`` counts the accepted steps and ``rejected`` the rejected
-    pseudo-time trial steps and backtracked points (``_Driver._ptc``); each
-    costs one residual evaluation, and only trial steps make a tridiagonal
-    solve.  ``solve_general``, whose iterations are fixed-point steps,
-    reports 0.  ``dt`` is the pseudo time step of the last accepted
-    pseudo-time step (DT_MAX for a Newton step, backtracked or not; inf
-    when none was taken, as in Howard rounds).  ``residual_floor`` is the
+    trial steps (Newton or pseudo-time) and backtracked points
+    (``_Driver._ptc``); each costs one residual evaluation, and only trial
+    steps make a tridiagonal solve.  ``solve_general``, whose iterations
+    are fixed-point steps, reports 0.  ``dt`` is the pseudo time step of
+    the last accepted step (DT_MAX for a Newton step, backtracked or not,
+    for every alpha; inf when none was taken).  ``residual_floor`` is the
     smallest residual floating point resolves at the returned solution
     (``_floor``); a solve that stops there because ``tol`` lies below it
     reports ``converged`` False.
@@ -405,11 +404,11 @@ class _Driver:
         sup|v| (all three None for alpha = 0).
         """
         a = self.alpha
-        s = (v[1:] - v[:-1]) / self.h
         # fluxes w = Phi(s) padded with the odd ghost fluxes
         # w_{-1/2} = -w_{1/2} and w_{n-1/2} = -w_{n-3/2}
         wp = np.empty(self.n + 1)
         if a != 0.0:
+            s = (v[1:] - v[:-1]) / self.h
             vsup = _supabs(v)
             delta = 1e-8 * (1.0 + vsup / self.grid.R)
             m = gradient_floor(np.abs(s), delta)
@@ -417,7 +416,9 @@ class _Driver:
             vpow = signed_power(v, a)
         else:
             vsup = delta = m = None
-            wp[1:-1] = s
+            # w = s, computed in place
+            s = np.subtract(v[1:], v[:-1], out=wp[1:-1])
+            s /= self.h
             vpow = v
         wp[0], wp[-1] = -wp[1], -wp[-2]
         wr, wl = wp[1:], wp[:-1]
@@ -490,73 +491,47 @@ class _Driver:
         lower[-1] += pr[-1]
         return lower, diag, upper
 
-    def _default_dt0(self, s):
-        _, Aeff = self.op.ellipticity_bounds()
-        gfac = (_supabs(s) + 1.0) ** max(self.alpha, 0.0)
-        return self.h**2 / (2.0 * Aeff * self.N * gfac)
-
-    # -- solvers --------------------------------------------------------------
-
-    def _howard(self, g, v, res, aux, rs, tol, max_rounds=HOWARD_MAX_ROUNDS):
-        """Policy-iteration / refinement rounds (alpha = 0 only).
-
-        Returns (v, res, aux, rs, bands, steps, at_floor).  When the last
-        step was rejected, bands are the factored bands (those of v, whose
-        policy they share) and at_floor tells whether the residual of v is
-        at their floor; otherwise bands is None and at_floor False.
-        """
+    def _factor(self, v, aux):
+        """LU factor of the alpha = 0 bands at v, cached in the workspace
+        and keyed by the policy (w_rad, w_tan), on which alone they depend;
+        None when they are singular."""
         ws = self.ws
-        steps = 0
-        bands = None
-        at_floor = False
-        for _ in range(max_rounds):
-            if rs <= tol:
-                break
-            # the bands depend on v only through the policy (w_rad, w_tan)
-            pattern = np.concatenate(aux[1:3]).tobytes()
-            if ws.factor is None or ws.pattern != pattern:
-                try:
-                    ws.factor = _TriFactor(*self._bands(v, aux))
-                except np.linalg.LinAlgError:
-                    ws.factor = None
-                    ws.pattern = None
-                    break
-                ws.pattern = pattern
-            v_new = v - ws.factor.solve(res)
-            res_new, aux_new = self.residual(g, v_new)
-            rs_new = _supabs(res_new)
-            # non-finite v_new propagates into rs_new, so one check covers both
-            if not (rs_new < rs):
-                bands = ws.factor.bands
-                at_floor = rs <= _floor(v, bands)
-                break
-            v, res, aux, rs = v_new, res_new, aux_new, rs_new
-            steps += 1
-        return v, res, aux, rs, bands, steps, at_floor
+        pattern = np.concatenate(aux[1:3]).tobytes()
+        if ws.pattern != pattern:
+            try:
+                ws.factor = _TriFactor(*self._bands(v, aux))
+            except np.linalg.LinAlgError:
+                return None
+            ws.pattern = pattern
+        return ws.factor
 
-    def _ptc(self, g, v, res, aux, rs, tol, opts, budget, dt, watchdogs=0):
+    # -- solver -------------------------------------------------------------
+
+    def _ptc(self, g, v, res, aux, rs, tol, opts, budget, dt):
         """Adaptive pseudo-time stepping until the residual drops below tol.
 
-        Starts at ``dt`` (the CFL-style step if None): dt = DT_MAX is a
-        Newton step.  Step acceptance uses the Euclidean residual norm as
-        merit: it tolerates the single-node flips the degenerate gradient
-        factor produces, and since sup <= l2 the sup-norm convergence test
-        is only taken earlier.  dt grows DT_FACTOR-fold on an accepted step
-        and shrinks as much on a rejected one.  The bands are built once per
-        accepted iterate and reused by the trials rejected from it, where
-        only dt or the step length changes; each trial step is one LAPACK
-        gtsv solve of (I - dt L) du = dt * residual.
+        Starts at ``dt``: dt >= DT_MAX is a Newton step.  Step acceptance
+        uses the Euclidean residual norm as merit: it tolerates the
+        single-node flips the degenerate gradient factor produces, and since
+        sup <= l2 the sup-norm convergence test is only taken earlier.  dt
+        grows DT_FACTOR-fold on an accepted step and shrinks as much on a
+        rejected one.  The bands are built once per accepted iterate and
+        reused by the trials rejected from it, where only dt or the step
+        length changes; each trial step is one LAPACK gtsv solve of
+        (I - dt L) du = dt * residual.  For alpha = 0 a Newton step is
+        du = -L^-1 residual from the policy-keyed factor (``_factor``),
+        whose bands serve as those of the iterate, and makes no gtsv call.
 
-        A rejected Newton step du (dt >= DT_MAX, solved, not forced by the
-        watchdog) from an iterate above its floor is backtracked first
-        (Dennis & Schnabel 1996, sec. 6.3): the points v + 2^-k du,
-        k = 1..BACKTRACKS, each cost one residual and no solve, and the
-        first that lowers the merit is accepted as a step at dt = DT_MAX,
-        so the next trial is a Newton step again.  Where the bands are the
-        exact Jacobian J, du = -J^-1 res is a descent direction of the merit
-        (its derivative along du is -|res|), so a short enough point lowers
-        it; at the Pucci and gradient-floor kinks, and where the bands floor
-        |s| or |v|, it need not.
+        A rejected Newton step du (dt >= DT_MAX, solved) from an iterate
+        above its floor is backtracked first (Dennis & Schnabel 1996,
+        sec. 6.3): the points v + 2^-k du, k = 1..BACKTRACKS, each cost one
+        residual and no solve, and the first that lowers the merit is
+        accepted as a step at dt = DT_MAX, so the next trial is a Newton
+        step again.  Where the bands are the exact Jacobian J, du =
+        -J^-1 res is a descent direction of the merit (its derivative along
+        du is -|res|), so a short enough point lowers it; at the Pucci and
+        gradient-floor kinks, and where the bands floor |s| or |v|, it need
+        not.
 
         When no backtracked point lowers the merit, the Gershgorin margin
         m of -L (``_floor_margin``, taken at the first rejection from the
@@ -575,50 +550,49 @@ class _Driver:
         m <= 0 dt halves from where it was.
 
         Returns (v, res, aux, rs, bands, steps, rejected, dt_used,
-        bound_violation, at_floor): bands those of the returned v if built
-        (else None), rejected the rejected trial steps and backtracked
-        points, dt_used the dt of the last accepted step (inf if none).
-        Stops on a step rejected from an iterate whose residual is at its
-        floor (at_floor), on a stall (too many consecutive rejections,
-        backtracked points included, once the ``watchdogs`` forced Newton
-        steps are spent), on the step budget, or on an iterate escaping
-        past U_max.
+        bound_violation): bands those of the returned v if built (else
+        None), rejected the rejected trial steps and backtracked points,
+        dt_used the dt of the last accepted step (inf if none).  Stops on a
+        step rejected from an iterate whose residual is at its floor, on a
+        stall (more than ``opts.max_rejects`` consecutive rejections,
+        backtracked points included), on the step budget, or on an alpha
+        != 0 iterate escaping past U_max.  alpha = 0 iterates are not
+        tested against U_max: with a monotone stencil every alpha = 0 step
+        solves a linear problem frozen at a policy, which the barrier of
+        ``solve_neumann`` bounds.
         """
-        if dt is None:
-            dt = self._default_dt0(aux[0])
         dt_used = math.inf
         steps = rejected = 0
         rejects = 0  # consecutive rejections, against opts.max_rejects
-        bound_violation = at_floor = False
-        merit = math.sqrt(res @ res)
-        best = (v, res, aux, rs, None)
+        bound_violation = False
+        merit = math.sqrt(res.dot(res))
+        best = (v, res, aux, rs)
         bands = floor = None
         backtracks = 0  # points left along a rejected Newton step
         while steps < budget and rs > tol:
             if bands is None:
-                if _supabs(v) > opts.U_max:
+                if self.alpha != 0.0 and _supabs(v) > opts.U_max:
                     bound_violation = True
                     break
-                lower, diag, upper = bands = self._bands(v, aux)
-                if best[0] is v:
-                    best = (*best[:4], bands)
-            forced = False
+                factor = None
+                if self.alpha == 0.0 and dt >= DT_MAX:
+                    factor = self._factor(v, aux)
+                bands = self._bands(v, aux) if factor is None else factor.bands
+                lower, diag, upper = bands
             if backtracks:
                 # the next point along the rejected Newton step: no solve
                 backtracks -= 1
                 du *= 0.5
+            elif rejects > opts.max_rejects:
+                # a stall: the merit landscape has a local minimum away from
+                # the solution (degenerate rows do this)
+                break
+            elif factor is not None and dt >= DT_MAX:
+                # the Newton step L du = -res from the cached factor
+                du = factor.solve(res)
+                du *= -1.0
+                info = 0
             else:
-                if rejects > opts.max_rejects:
-                    # the merit landscape has a local minimum away from the
-                    # solution (degenerate rows do this); force one full
-                    # Newton step through the barrier, keeping the best state
-                    # on file
-                    if watchdogs == 0:
-                        break
-                    watchdogs -= 1
-                    rejects = 0
-                    dt = DT_MAX
-                    forced = True
                 # the four arrays are temporaries, so LAPACK may overwrite them
                 *_, du, info = _gtsv(
                     -dt * lower, 1.0 - dt * diag, -dt * upper, dt * res, 1, 1, 1, 1
@@ -628,17 +602,17 @@ class _Driver:
             else:
                 v_new = v + du
                 res_new, aux_new = self.residual(g, v_new)
-                merit_new = math.sqrt(res_new @ res_new)
-            if not (merit_new < merit) and not (forced and math.isfinite(merit_new)):
+                merit_new = math.sqrt(res_new.dot(res_new))
+            # non-finite v_new propagates into merit_new, so one test covers both
+            if not (merit_new < merit):
                 rejected += 1
                 rejects += 1
                 if floor is None:
                     # the first rejection from this iterate
                     floor, margin = _floor_margin(v, bands)
                     if rs <= floor:
-                        at_floor = True
                         break
-                    if dt >= DT_MAX and info == 0 and not forced:
+                    if dt >= DT_MAX and info == 0:
                         backtracks = BACKTRACKS
                 if backtracks:
                     continue
@@ -652,28 +626,22 @@ class _Driver:
             backtracks = 0
             rs = _supabs(res)
             if rs < best[3]:
-                best = (v, res, aux, rs, None)
+                best = (v, res, aux, rs)
             steps += 1
             rejects = 0
             dt_used = dt
             dt = min(dt * DT_FACTOR, DT_MAX)
         if rs > best[3]:
-            v, res, aux, rs, bands = best
-        return v, res, aux, rs, bands, steps, rejected, dt_used, bound_violation, at_floor
+            v, res, aux, rs = best
+            bands = None
+        return v, res, aux, rs, bands, steps, rejected, dt_used, bound_violation
 
     def solve(self, g, v0, opts, res0=None, aux0=None):
-        """Drive the residual below opts.tol from the initial state v0.
+        """Drive the residual below opts.tol from the initial state v0 with
+        ``_ptc`` from dt = DT_MAX (opts.dt0 if set), i.e. Newton steps.
 
-        alpha = 0 runs Howard rounds; alpha != 0 runs pseudo-time steps from
-        dt = DT_MAX (opts.dt0 if set), which are Newton steps on the exact
-        Jacobian, backtracked and then halved on rejection (``_ptc``).
-        Either stops at the residual floor (``_floor``).  A first run that
-        stalls above the floor gets one pseudo-time run from the CFL-style
-        dt, whose watchdog forces Newton steps through stalls.
-        Returns (v, res, aux, rs, bands, iterations, rejected, dt, converged,
-        bound_violation): bands those of v if a run built them, else None;
-        rejected the rejected pseudo-time trial steps and backtracked
-        points; dt that of the last accepted pseudo-time step (inf if none).
+        Returns (v, res, aux, rs, bands, iterations, rejected, dt,
+        converged, bound_violation) with the fields of ``_ptc``.
         ``res0``/``aux0`` may carry a residual already evaluated at v0.
         """
         v = v0
@@ -683,35 +651,12 @@ class _Driver:
             res0 = None
         if res0 is None or aux0 is None:
             res0, aux0 = self.residual(g, v)
-        res, aux = res0, aux0
-        rs = _supabs(res)
-        tol = opts.tol
-        iterations = rejected = 0
-        bands = None
-        dt_used = math.inf
-        bound_violation = False
-
-        if rs > tol:
-            if self.alpha == 0.0:
-                v, res, aux, rs, bands, iterations, at_floor = self._howard(
-                    g, v, res, aux, rs, tol
-                )
-            else:
-                dt0 = opts.dt0 if opts.dt0 is not None else DT_MAX
-                (v, res, aux, rs, bands, iterations, rejected, dt_used, bound_violation,
-                 at_floor) = self._ptc(g, v, res, aux, rs, tol, opts, opts.max_iter, dt0)
-            budget = opts.max_iter - iterations
-            if rs > tol and not (at_floor or bound_violation) and budget > 0:
-                v, res, aux, rs, bands, steps, more, dt_run, bound_violation, _ = self._ptc(
-                    g, v, res, aux, rs, tol, opts, budget, None, 3
-                )
-                iterations += steps
-                rejected += more
-                if steps:
-                    dt_used = dt_run
-
+        dt = opts.dt0 if opts.dt0 is not None else DT_MAX
+        v, res, aux, rs, bands, iterations, rejected, dt, bound_violation = self._ptc(
+            g, v, res0, aux0, _supabs(res0), opts.tol, opts, opts.max_iter, dt
+        )
         return (
-            v, res, aux, rs, bands, iterations, rejected, dt_used, rs <= tol,
+            v, res, aux, rs, bands, iterations, rejected, dt, rs <= opts.tol,
             bound_violation,
         )
 

@@ -418,6 +418,8 @@ STEP_OPERATORS = {
         b2_profile=lambda r: 0.5 * r,
     ),
     **{k: op for k, op in WEIGHT_OPERATORS.items() if op.alpha == 0.0},
+    "pucci_minus_a+0_0.5_3": eb.EllipticOperator.pucci_minus(0.5, 3.0, 0.0),
+    "pucci_plus_a+0_0.5_3": eb.EllipticOperator.pucci_plus(0.5, 3.0, 0.0),
 }
 
 
@@ -518,7 +520,7 @@ MIX = eb.CoefficientField(
 )
 def test_solve_stops_at_the_residual_floor(monkeypatch, op, n, residual_before, budget):
     # a step rejected from an iterate at its rounding floor ends the solve:
-    # no pseudo-time run follows Howard, and no run goes on stepping there
+    # neither a backtracked point nor a pseudo-time trial follows it
     calls = [0]
     residual = _Driver.residual
 
@@ -531,7 +533,7 @@ def test_solve_stops_at_the_residual_floor(monkeypatch, op, n, residual_before, 
     rep = eb.solve_neumann(op, MIX, 0.0, None, g)
     assert not rep.converged
     if budget is None:
-        # the start, every Howard round and the one rejected step
+        # the start, every accepted Newton step and the one rejected step
         assert calls[0] <= rep.iterations + 2
     else:
         assert calls[0] <= budget
@@ -729,7 +731,7 @@ def test_singular_pucci_in_three_dimensions_reaches_its_floor(name, n):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
-    name=st.sampled_from(sorted(k for k, op in STEP_OPERATORS.items() if op.alpha != 0.0)),
+    name=st.sampled_from(sorted(STEP_OPERATORS)),
     N=st.sampled_from([2, 3]),
     n=st.integers(21, 401),
     a=st.floats(0.3, 2.0),
@@ -743,6 +745,54 @@ def test_alpha_solves_converge_or_reach_their_floor(name, N, n, a, b):
     rep = eb.solve_neumann(STEP_OPERATORS[name], coeff, 0.0, None, eb.build_grid(1.0, N, n))
     assert rep.converged or rep.residual_sup <= rep.residual_floor
     assert rep.iterations <= 200
+
+
+@pytest.mark.parametrize("n", [101, 401])
+@pytest.mark.parametrize("N", [2, 3])
+def test_pucci_plus_with_wide_ellipticity_converges_in_newton_steps(N, n):
+    # Newton steps on the frozen-policy operator, backtracked on the
+    # Euclidean merit: 5 or 6 steps.  Policy rounds that stopped at the first
+    # sup-norm increase handed over to pseudo-time steps from the CFL step,
+    # which ran 20,000 iterations and ended at residuals of 0.17-0.23
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.9 * np.cos(np.pi * r)
+    )
+    op = STEP_OPERATORS["pucci_plus_a+0_0.5_3"]
+    rep = eb.solve_neumann(op, coeff, 0.0, None, eb.build_grid(1.0, N, n))
+    assert rep.converged and rep.barrier_ok
+    assert rep.iterations <= 10
+    assert rep.dt == solver.DT_MAX
+
+
+@pytest.mark.parametrize(
+    "op, b, steps, factorizations",
+    [
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), 0.0, 241, 6),
+        (LAP, 300.0, 69, 1),
+    ],
+    ids=["pucci_minus", "laplacian_drift"],
+)
+def test_monotone_iteration_reuses_one_factor_per_policy(monkeypatch, op, b, steps, factorizations):
+    # every alpha = 0 Newton step of the inner solves comes from the factor
+    # cached for its policy: one gttrf per policy change and no gtsv
+    calls = {"gttrf": 0, "gtsv": 0}
+    gttrf, gtsv = solver._gttrf, solver._gtsv
+
+    def counted_gttrf(*args):
+        calls["gttrf"] += 1
+        return gttrf(*args)
+
+    def counted_gtsv(*args):
+        calls["gtsv"] += 1
+        return gtsv(*args)
+
+    monkeypatch.setattr(solver, "_gttrf", counted_gttrf)
+    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
+    coeff = eb.CoefficientField(b=b, c=lambda r: -1.0 - r**2, g=-1.0)
+    rep = eb.monotone_iteration(op, coeff, 1.5, None, eb.build_grid(1.0, 2, 401))
+    assert rep.verdict is Verdict.CONVERGED
+    assert rep.iterations == steps
+    assert calls == {"gttrf": factorizations, "gtsv": 0}
 
 
 # ------------------------------ LAPACK binding -------------------------------
