@@ -358,6 +358,8 @@ def _validate_leaf(cfg: dict, base_dir: Path) -> None:
         raise ConfigError(f"{command}: {e}") from None
     if command == "solve" and "lambda" not in cfg.get("solver", {}):
         raise ConfigError("solver: solve command needs solver.lambda")
+    if command == "solve" and not isinstance(cfg["solver"].get("general", False), bool):
+        raise ConfigError("solver: general must be true or false")
 
 
 def _coefficients(cfg: dict, base_dir: Path, band_params=None) -> CoefficientField:
@@ -405,7 +407,6 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
                 {
                     "config": public_cfg,
                     **summary,
-                    "dt": report.dt,
                     "barrier_ok": report.barrier_ok,
                 },
             )

@@ -520,7 +520,6 @@ def solve_general(
         solution=GridFunction(grid, u),
         residual_sup=rs,
         iterations=iterations,
-        dt=math.inf,
         converged=converged,
         bound_violation=False,
         sandwich_ok=sandwich_ok,

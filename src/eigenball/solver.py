@@ -5,23 +5,19 @@
     F(x, Du, D^2 u) + b |Du|^alpha Du . x/|x| + (c(r) + lambda) |u|^alpha u = g(r)
 
 on the ball under the homogeneous Neumann condition, in the coercive regime
-c + lambda <= -c0 < 0.  Every step solves a tridiagonal system with the
-exact linearization L of the discrete operator: pseudo-transient
-continuation, (I - dt L) du = dt * residual, from dt = DT_MAX, i.e. Newton
-steps.  For gradient exponent alpha = 0, L is the frozen-policy operator
-(L v = G(v) exactly), so the Newton steps are Howard policy iteration
-(Bokanowski, Maroso & Zidani 2009), du = -L^-1 residual from a
-factorization cached while the eigenvalue sign pattern is unchanged; for
-alpha != 0, L is the Jacobian.  A Newton step that raises the Euclidean
-residual norm is backtracked first: the points v + 2^-k du,
-k = 1..BACKTRACKS, cost one residual each and no solve, and the first that
-lowers the norm is accepted.  Only when none does, dt is cut to at most
-MARGIN_STEPS over the Gershgorin margin of -L (above that, every trial
-repeats the rejected Newton step) and then halves on a residual increase
-and doubles on a decrease.  L is built once per accepted iterate, so a
-rejected trial only changes dt or the step length.  A step rejected from
-an iterate whose residual is at its rounding floor (``_floor``) ends the
-solve.
+c + lambda <= -c0 < 0.  Every step is a Newton step: a tridiagonal solve
+with the exact linearization L of the discrete operator.  For gradient
+exponent alpha = 0, L is the frozen-policy operator (L v = G(v) exactly),
+so the Newton steps are Howard policy iteration (Bokanowski, Maroso &
+Zidani 2009), du = -L^-1 residual from a factorization cached while the
+eigenvalue sign pattern is unchanged; for alpha != 0, L is the Jacobian.
+A Newton step that does not lower the Euclidean residual norm is
+backtracked: the points v + 2^-k du cost one residual each and no solve,
+and the first that lowers the norm is accepted.  L is built once per
+accepted iterate.  The solve ends unconverged when no point lowers the
+norm before 2^-k sup|du| falls to eps (1 + sup|v|), the rounding of v, when
+a step is rejected from an iterate whose residual is at its rounding floor
+(``_floor``), or when LAPACK reports L singular.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -96,14 +92,8 @@ __all__ = [
     "monotone_iteration",
 ]
 
-# the pseudo time step doubles on an accepted step and halves on a rejected one
-DT_FACTOR = 2.0
+# scale of the alpha != 0 Newton system (``_Driver._newton``)
 DT_MAX = 1e12
-# a rejected step cuts dt to at most MARGIN_STEPS over the Gershgorin margin
-# of -L, above which trial steps repeat the Newton step (``_Driver._ptc``)
-MARGIN_STEPS = 64.0
-# a rejected Newton step is first backtracked to v + 2^-k du, k = 1..BACKTRACKS
-BACKTRACKS = 10
 
 # safety factor on the eps * ||L|| backward error of the stencil
 ROUNDOFF_SAFETY = 10.0
@@ -151,27 +141,15 @@ def _supabs(x) -> float:
     return float(np.maximum.reduce(np.abs(x)))
 
 
-def _floor_margin(v, bands):
-    """(floor, margin) at the iterate v with bands L.
-
-    floor = ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|) is the smallest
-    residual floating point resolves at v, ||L||_inf the largest absolute row
-    sum of L; margin = min_i (-L_ii - |L_i,i-1| - |L_i,i+1|) is the
-    Gershgorin margin of -L, a lower bound on 1/||L^-1||_inf when positive.
-    """
+def _floor(v, bands) -> float:
+    """ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), the smallest residual
+    floating point resolves at the iterate v with bands L; ||L||_inf is the
+    largest absolute row sum of L."""
     lower, diag, upper = bands
-    abs_diag = np.abs(diag)
-    rows = abs_diag.copy()
+    rows = np.abs(diag)
     rows[1:] += np.abs(lower)
     rows[:-1] += np.abs(upper)
-    floor = ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
-    # -L_ii minus the off-diagonal sum of row i is |L_ii| - L_ii - rows_i
-    return floor, float((abs_diag - diag - rows).min())
-
-
-def _floor(v, bands) -> float:
-    """The floor of ``_floor_margin``."""
-    return _floor_margin(v, bands)[0]
+    return ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
 
 
 def _rounding_floor(op, grid, c_inf) -> float:
@@ -227,19 +205,18 @@ class SolveOptions:
     ``solve_general``.
 
     ``tol`` is an absolute sup-norm residual (solve) or sup-norm change
-    (iteration) tolerance.  ``dt0`` overrides DT_MAX, the pseudo time step
-    a solve starts from.  ``initial`` seeds the iteration (zeros
-    by default).  A ``workspace`` carries the factorization state between
-    related solves; a solve owns its workspace, so concurrent solves must
-    not share one.
+    (iteration) tolerance.  ``initial`` is the starting iterate of
+    ``solve_neumann`` (zeros by default), a node array or GridFunction on
+    its grid; ``monotone_iteration`` and ``solve_general`` start from their
+    own iterates and ignore it.  A ``workspace`` carries the factorization
+    state between related solves; a solve owns its workspace, so concurrent
+    solves must not share one.
     """
 
     tol: float = 1e-9
     max_iter: int = 20000
     U_max: float = 1e6
-    dt0: Optional[float] = None
     initial: object = None
-    max_rejects: int = 60
     inner_max_iter: int = 20000
     workspace: Optional["SolveWorkspace"] = None
 
@@ -276,21 +253,18 @@ class SolveReport:
     """Outcome of one Neumann solve.
 
     ``iterations`` counts the accepted steps and ``rejected`` the rejected
-    trial steps (Newton or pseudo-time) and backtracked points
-    (``_Driver._ptc``); each costs one residual evaluation, and only trial
-    steps make a tridiagonal solve.  ``solve_general``, whose iterations
-    are fixed-point steps, reports 0.  ``dt`` is the pseudo time step of
-    the last accepted step (DT_MAX for a Newton step, backtracked or not,
-    for every alpha; inf when none was taken).  ``residual_floor`` is the
-    smallest residual floating point resolves at the returned solution
-    (``_floor``); a solve that stops there because ``tol`` lies below it
-    reports ``converged`` False.
+    Newton steps and backtracked points (``_Driver._newton``); each costs
+    one residual evaluation, and only a Newton step makes a tridiagonal
+    solve.  ``solve_general``, whose iterations are fixed-point steps,
+    reports 0 rejected.  ``residual_floor`` is the smallest residual
+    floating point resolves at the returned solution (``_floor``); a solve
+    that stops there because ``tol`` lies below it reports ``converged``
+    False.
     """
 
     solution: GridFunction
     residual_sup: float
     iterations: int
-    dt: float
     converged: bool
     bound_violation: bool
     barrier_bound: Optional[float] = None
@@ -507,141 +481,104 @@ class _Driver:
 
     # -- solver -------------------------------------------------------------
 
-    def _ptc(self, g, v, res, aux, rs, tol, opts, budget, dt):
-        """Adaptive pseudo-time stepping until the residual drops below tol.
+    def _newton(self, g, v, res, aux, rs, tol, opts, budget):
+        """Backtracked Newton steps until the residual drops below tol.
 
-        Starts at ``dt``: dt >= DT_MAX is a Newton step.  Step acceptance
-        uses the Euclidean residual norm as merit: it tolerates the
-        single-node flips the degenerate gradient factor produces, and since
-        sup <= l2 the sup-norm convergence test is only taken earlier.  dt
-        grows DT_FACTOR-fold on an accepted step and shrinks as much on a
-        rejected one.  The bands are built once per accepted iterate and
-        reused by the trials rejected from it, where only dt or the step
-        length changes; each trial step is one LAPACK gtsv solve of
-        (I - dt L) du = dt * residual.  For alpha = 0 a Newton step is
-        du = -L^-1 residual from the policy-keyed factor (``_factor``),
-        whose bands serve as those of the iterate, and makes no gtsv call.
+        Step acceptance uses the Euclidean residual norm as merit: it
+        tolerates the single-node flips the degenerate gradient factor
+        produces, and since sup <= l2 the sup-norm convergence test is only
+        taken earlier.  The bands are built once per accepted iterate.  For
+        alpha = 0 the Newton step is du = -L^-1 residual from the
+        policy-keyed factor (``_factor``), whose bands serve as those of the
+        iterate; for alpha != 0 it is one LAPACK gtsv solve.
 
-        A rejected Newton step du (dt >= DT_MAX, solved) from an iterate
-        above its floor is backtracked first (Dennis & Schnabel 1996,
-        sec. 6.3): the points v + 2^-k du, k = 1..BACKTRACKS, each cost one
-        residual and no solve, and the first that lowers the merit is
-        accepted as a step at dt = DT_MAX, so the next trial is a Newton
-        step again.  Where the bands are the exact Jacobian J, du =
-        -J^-1 res is a descent direction of the merit (its derivative along
-        du is -|res|), so a short enough point lowers it; at the Pucci and
-        gradient-floor kinks, and where the bands floor |s| or |v|, it need
-        not.
+        A rejected Newton step du from an iterate above its floor is
+        backtracked (Dennis & Schnabel 1996, sec. 6.3): the points
+        v + 2^-k du, k = 1, 2, ..., each cost one residual and no solve, and
+        the first that lowers the merit is accepted.  Where the bands are the
+        exact Jacobian J, du = -J^-1 res is a descent direction of the merit
+        (its derivative along du is -|res|), so a short enough point lowers
+        it; at the Pucci and gradient-floor kinks, and where the bands floor
+        |s| or |v|, it need not.  Once 2^-k sup|du| <= eps (1 + sup|v|), the
+        points no longer move v beyond its rounding, and the solve ends.
 
-        When no backtracked point lowers the merit, the Gershgorin margin
-        m of -L (``_floor_margin``, taken at the first rejection from the
-        iterate with its floor) cuts dt.  With m > 0, -L + I/dt has margin
-        m + 1/dt, so the step du(dt) and the Newton step du_N = -L^-1 res
-        satisfy du(dt) - du_N = -(1/dt) (-L + I/dt)^-1 du_N and
-
-            |du(dt) - du_N|_inf <= |du_N|_inf / (1 + m dt).
-
-        Every trial at dt >= MARGIN_STEPS / m repeats the rejected step to
-        within 1/(1 + MARGIN_STEPS) = 1/65, so dt is cut to at most
-        MARGIN_STEPS / m before it halves, and the first trial after the
-        cut lies within 2/(2 + MARGIN_STEPS) of the Newton step.  A smaller
-        MARGIN_STEPS would save a halving per factor 2 but skip trials that
-        differ from the rejected step by more than a few percent.  With
-        m <= 0 dt halves from where it was.
-
-        Returns (v, res, aux, rs, bands, steps, rejected, dt_used,
-        bound_violation): bands those of the returned v if built (else
-        None), rejected the rejected trial steps and backtracked points,
-        dt_used the dt of the last accepted step (inf if none).  Stops on a
-        step rejected from an iterate whose residual is at its floor, on a
-        stall (more than ``opts.max_rejects`` consecutive rejections,
-        backtracked points included), on the step budget, or on an alpha
-        != 0 iterate escaping past U_max.  alpha = 0 iterates are not
-        tested against U_max: with a monotone stencil every alpha = 0 step
-        solves a linear problem frozen at a policy, which the barrier of
-        ``solve_neumann`` bounds.
+        Returns (v, res, aux, rs, bands, steps, rejected, bound_violation):
+        bands those of the returned v if built (else None), rejected the
+        rejected Newton steps and backtracked points.  Also stops on a step
+        rejected from an iterate whose residual is at its floor, on a
+        singular system, on the step budget, or on an alpha != 0 iterate
+        escaping past U_max.  alpha = 0 iterates are not tested against
+        U_max: with a monotone stencil every alpha = 0 step solves a linear
+        problem frozen at a policy, which the barrier of ``solve_neumann``
+        bounds.  The best iterate seen is returned.
         """
-        dt_used = math.inf
         steps = rejected = 0
-        rejects = 0  # consecutive rejections, against opts.max_rejects
         bound_violation = False
         merit = math.sqrt(res.dot(res))
         best = (v, res, aux, rs)
-        bands = floor = None
-        backtracks = 0  # points left along a rejected Newton step
+        bands = None
         while steps < budget and rs > tol:
             if bands is None:
-                if self.alpha != 0.0 and _supabs(v) > opts.U_max:
-                    bound_violation = True
-                    break
-                factor = None
-                if self.alpha == 0.0 and dt >= DT_MAX:
+                # a new iterate: its Newton step
+                if self.alpha == 0.0:
                     factor = self._factor(v, aux)
-                bands = self._bands(v, aux) if factor is None else factor.bands
-                lower, diag, upper = bands
-            if backtracks:
-                # the next point along the rejected Newton step: no solve
-                backtracks -= 1
-                du *= 0.5
-            elif rejects > opts.max_rejects:
-                # a stall: the merit landscape has a local minimum away from
-                # the solution (degenerate rows do this)
-                break
-            elif factor is not None and dt >= DT_MAX:
-                # the Newton step L du = -res from the cached factor
-                du = factor.solve(res)
-                du *= -1.0
-                info = 0
-            else:
-                # the four arrays are temporaries, so LAPACK may overwrite them
-                *_, du, info = _gtsv(
-                    -dt * lower, 1.0 - dt * diag, -dt * upper, dt * res, 1, 1, 1, 1
-                )
-            if info != 0:
-                merit_new = math.inf
-            else:
-                v_new = v + du
-                res_new, aux_new = self.residual(g, v_new)
-                merit_new = math.sqrt(res_new.dot(res_new))
+                    if factor is None:
+                        break
+                    bands = factor.bands
+                    du = factor.solve(res)
+                    du *= -1.0
+                else:
+                    if _supabs(v) > opts.U_max:
+                        bound_violation = True
+                        break
+                    bands = self._bands(v, aux)
+                    lower, diag, upper = bands
+                    # (I - T L) du = T res, the Newton step up to a 1/T shift
+                    # below the rounding of L: solves, iterates and verdicts
+                    # depend on the rounding of this form.  The four arrays
+                    # are temporaries, so LAPACK may overwrite them
+                    *_, du, info = _gtsv(
+                        -DT_MAX * lower, 1.0 - DT_MAX * diag, -DT_MAX * upper,
+                        DT_MAX * res, 1, 1, 1, 1,
+                    )
+                    if info != 0:
+                        break
+                size = None
+            v_new = v + du
+            res_new, aux_new = self.residual(g, v_new)
+            merit_new = math.sqrt(res_new.dot(res_new))
             # non-finite v_new propagates into merit_new, so one test covers both
             if not (merit_new < merit):
                 rejected += 1
-                rejects += 1
-                if floor is None:
+                if size is None:
                     # the first rejection from this iterate
-                    floor, margin = _floor_margin(v, bands)
-                    if rs <= floor:
+                    if rs <= _floor(v, bands):
                         break
-                    if dt >= DT_MAX and info == 0:
-                        backtracks = BACKTRACKS
-                if backtracks:
-                    continue
-                # a no-op once dt was cut from this iterate
-                if margin > 0.0:
-                    dt = min(dt, MARGIN_STEPS / margin)
-                dt /= DT_FACTOR
+                    size, limit = _supabs(du), np.finfo(float).eps * (1.0 + _supabs(v))
+                # the next point along the rejected Newton step
+                du *= 0.5
+                size *= 0.5
+                # a NaN or inf step never halves to the limit
+                if not limit < size < math.inf:
+                    break
                 continue
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
-            bands = floor = None
-            backtracks = 0
+            bands = None
             rs = _supabs(res)
             if rs < best[3]:
                 best = (v, res, aux, rs)
             steps += 1
-            rejects = 0
-            dt_used = dt
-            dt = min(dt * DT_FACTOR, DT_MAX)
         if rs > best[3]:
             v, res, aux, rs = best
             bands = None
-        return v, res, aux, rs, bands, steps, rejected, dt_used, bound_violation
+        return v, res, aux, rs, bands, steps, rejected, bound_violation
 
     def solve(self, g, v0, opts, res0=None, aux0=None):
         """Drive the residual below opts.tol from the initial state v0 with
-        ``_ptc`` from dt = DT_MAX (opts.dt0 if set), i.e. Newton steps.
+        ``_newton``.
 
-        Returns (v, res, aux, rs, bands, iterations, rejected, dt,
-        converged, bound_violation) with the fields of ``_ptc``.
+        Returns (v, res, aux, rs, bands, iterations, rejected, converged,
+        bound_violation) with the fields of ``_newton``.
         ``res0``/``aux0`` may carry a residual already evaluated at v0.
         """
         v = v0
@@ -651,22 +588,24 @@ class _Driver:
             res0 = None
         if res0 is None or aux0 is None:
             res0, aux0 = self.residual(g, v)
-        dt = opts.dt0 if opts.dt0 is not None else DT_MAX
-        v, res, aux, rs, bands, iterations, rejected, dt, bound_violation = self._ptc(
-            g, v, res0, aux0, _supabs(res0), opts.tol, opts, opts.max_iter, dt
+        v, res, aux, rs, bands, iterations, rejected, bound_violation = self._newton(
+            g, v, res0, aux0, _supabs(res0), opts.tol, opts, opts.max_iter
         )
-        return (
-            v, res, aux, rs, bands, iterations, rejected, dt, rs <= opts.tol,
-            bound_violation,
-        )
+        return v, res, aux, rs, bands, iterations, rejected, rs <= opts.tol, bound_violation
 
 
 def _initial_array(opts, n):
     if opts.initial is None:
         return np.zeros(n)
     if isinstance(opts.initial, GridFunction):
-        return opts.initial.values.copy()
-    return np.asarray(opts.initial, dtype=float).copy()
+        values = opts.initial.values.copy()
+    else:
+        values = np.asarray(opts.initial, dtype=float).copy()
+    if values.shape != (n,):
+        raise ValueError(
+            f"SolveOptions.initial must have shape ({n},) on this grid, got {values.shape}"
+        )
+    return values
 
 
 def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
@@ -705,7 +644,7 @@ def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
         inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u, res, aux, rs, _, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        u, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
         if not ok:
             raise InnerSolveError(
                 step,
@@ -782,7 +721,7 @@ def solve_neumann(
     c0 = float(-np.max(c_eff))
     driver = _Driver(op, grid, b, c_eff, opts.workspace)
     v0 = _initial_array(opts, grid.n)
-    v, _, aux, rs, bands, iterations, rejected, dt, converged, bound_violation = (
+    v, _, aux, rs, bands, iterations, rejected, converged, bound_violation = (
         driver.solve(g, v0, opts)
     )
     if bands is None:
@@ -792,7 +731,6 @@ def solve_neumann(
         residual_sup=rs,
         iterations=iterations,
         rejected=rejected,
-        dt=dt,
         converged=converged,
         bound_violation=bound_violation and not converged,
         residual_floor=_floor(v, bands),

@@ -145,11 +145,13 @@ def _with(base, path, value):
         },
         _with(BASE_CHECK, "check.samples", "x"),
         dict(BASE_SOLVE, coefficients=["const:-1"]),
+        # a JSON string, though truthy, is not a boolean
+        _with(BASE_SOLVE, "solver.general", "false"),
     ],
     ids=[
         "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
         "solver-int", "sweep-grid-n", "sweep-workers", "check-samples",
-        "coefficients-list",
+        "coefficients-list", "general-string",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
