@@ -247,7 +247,7 @@ def _solver_options(cfg: dict) -> SolveOptions:
 def _eigen_options(cfg: dict) -> EigenOptions:
     s = cfg.get("solver", {})
     e = cfg.get("eigen", {})
-    opts = EigenOptions(
+    return EigenOptions(
         bracket_width=(
             float(e["bracket_width"]) if "bracket_width" in e else None
         ),
@@ -260,10 +260,6 @@ def _eigen_options(cfg: dict) -> EigenOptions:
         inner_max_iter=int(s.get("max_iter", 20000)),
         U_max=float(s.get("U_max", 1e6)),
     )
-    opts.resolved_width(0.0)  # rejects a bracket_width <= 0
-    if not opts.g_scale > 0:
-        raise ValueError(f"g_scale must be > 0, got {opts.g_scale!r}")
-    return opts
 
 
 def _check_samples(cfg: dict) -> int:

@@ -19,14 +19,19 @@ the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
 iteration, one shifted inverse-iteration solve per round.  A probe within a
 rounding guard of that bracket, every probe for alpha != 0, and every probe
-of a stencil that drift makes non-monotone is still classified by running
+of a stencil that drift makes non-monotone is classified by running
 ``monotone_iteration`` with g = -1 (g = +1, decreasing iterates, for the
 mirrored eigenvalue) and watching whether the iterates settle or blow past
 the threshold.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
 supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
-constants defeat the maximum principle, which pins the initial bracket.
+constants defeat the maximum principle, which pins the initial bracket
+[-|c|_inf - 1, |c|_inf + 1].  Its two ends check the configuration and are
+probes like any other: read off the Collatz-Wielandt bracket when it exists
+(which then lies strictly inside), monotone-iteration runs otherwise or
+when an end falls within the rounding guard.  A verdict at an end contrary
+to the theory, from either source, is a ``BracketError``.
 """
 
 from __future__ import annotations
@@ -115,10 +120,14 @@ class EigenOptions:
     inner_max_iter: int = 20000
     U_max: float = 1e6
 
+    def __post_init__(self):
+        if not (math.isfinite(self.g_scale) and self.g_scale > 0):
+            raise ValueError(f"g_scale must be finite and > 0, got {self.g_scale!r}")
+        if self.bracket_width is not None and not self.bracket_width > 0:
+            raise ValueError(f"bracket_width must be > 0, got {self.bracket_width!r}")
+
     def resolved_width(self, c_inf: float) -> float:
         if self.bracket_width is not None:
-            if not self.bracket_width > 0:
-                raise ValueError("bracket_width must be > 0")
             return self.bracket_width
         return 1e-3 * (1.0 + c_inf)
 
@@ -319,30 +328,31 @@ def _bisect(op, coeff, grid, opts, direction: str):
     cw = _collatz_wielandt(op, coeff, grid, direction)
     probes = []
 
-    def probe(lam, bracket):
-        verdict, rep, how = _classify(op, coeff, lam, g_vals, grid, opts, ws, direction, bracket)
+    def probe(lam):
+        verdict, rep, how = _classify(op, coeff, lam, g_vals, grid, opts, ws, direction, cw)
         probes.append((lam, verdict.value, how))
         return verdict, rep
 
-    # the envelope ends are always real runs: they check the configuration
+    # the envelope ends check the configuration; the theory puts the CW
+    # bracket strictly inside them, so with it they are read off it too
     lo, hi = -(c_inf + 1.0), c_inf + 1.0
-    verdict, rep_lo = probe(lo, None)
+    verdict, rep_lo = probe(lo)
     if verdict is not Verdict.CONVERGED:
         raise BracketError(
-            f"iteration at the initial lower end lambda={lo:.9g} did not "
+            f"the probe at the initial lower end lambda={lo:.9g} did not "
             f"converge; -|c|_inf always admits the constant supersolution, so "
             f"this is a configuration error"
         )
-    verdict, _ = probe(hi, None)
+    verdict, _ = probe(hi)
     if verdict is not Verdict.UNBOUNDED:
         raise BracketError(
-            f"iteration at lambda={hi:.9g} > |c|_inf converged; the eigenvalue "
+            f"the probe at lambda={hi:.9g} > |c|_inf converged; the eigenvalue "
             f"is bounded by |c|_inf, so this is a configuration error"
         )
 
     while hi - lo > width:
         mid = lo + _SPLIT * (hi - lo)
-        verdict, rep = probe(mid, cw)
+        verdict, rep = probe(mid)
         if verdict is Verdict.CONVERGED:
             lo, rep_lo = mid, rep
         else:
@@ -372,18 +382,18 @@ def lambda_up(
 ) -> EigenEstimate:
     """Bracket the upper principal eigenvalue (positive eigenfunction).
 
-    Bisection on [-|c|_inf - 1, |c|_inf + 1].  The two ends are checked by
-    monotone-iteration runs with g = -1.  For alpha = 0 with a monotone
-    stencil, each trial shift outside the Collatz-Wielandt bracket
+    Bisection on [-|c|_inf - 1, |c|_inf + 1], whose two ends must read
+    convergent and unbounded.  For alpha = 0 with a monotone stencil, each
+    trial shift, the two ends included, outside the Collatz-Wielandt bracket
     [min rho, max rho] of the positive eigenvector phi (widened by a
     rounding guard) is decided from that bracket: phi is a strict
     supersolution below it and a subsolution above it, because Pucci- is
     the row-wise minimum and Pucci+ the maximum over policies of M-matrices.
     Any other trial shift is classified by whether the monotone iteration
-    stays bounded.  The returned eigenfunction is phi, or without the
-    bracket the final iterate at the certified lower end, normalized;
-    ``residual_sup`` is its eigen-equation residual at the bracket
-    midpoint.
+    with g = -1 stays bounded, so without the bracket the two ends are
+    monotone-iteration runs.  The returned eigenfunction is phi, or without
+    the bracket the final iterate at the certified lower end, normalized;
+    ``residual_sup`` is its eigen-equation residual at the bracket midpoint.
     """
     return _bisect(op, coeff, grid, opts or EigenOptions(), "up")
 

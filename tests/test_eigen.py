@@ -220,8 +220,8 @@ def test_cw_bracket_inside_bisection_bracket(op, c):
     assert est.lambda_lo <= cw_lo <= cw_hi <= est.lambda_hi
     assert cw_hi - cw_lo <= 1e-8
     assert (est.summary()["cw_lo"], est.summary()["cw_hi"]) == (cw_lo, cw_hi)
-    # only the two envelope ends are monotone-iteration runs
-    assert [p[2] for p in est.probes[:2]] == ["monotone", "monotone"]
+    # every probe, the two envelope ends included, is read off the bracket
+    assert [p[2] for p in est.probes[:2]] == ["cw", "cw"]
     assert {p[2] for p in est.probes[2:]} == {"cw"}
 
 
@@ -260,6 +260,61 @@ def test_probe_in_guard_band_runs_monotone_iteration():
     assert (verdict, rep, how) == (eb.Verdict.CONVERGED, None, "cw")
     verdict, rep, how = _classify(LAP, coeff, 0.75, g, *args)
     assert (verdict, rep, how) == (eb.Verdict.UNBOUNDED, None, "cw")
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("sign", ["up", "down"])
+@pytest.mark.parametrize(
+    "op", [LAP, eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)], ids=["laplacian", "pucci_minus"]
+)
+def test_cw_estimate_makes_no_monotone_run(monkeypatch, op, sign, N):
+    from eigenball import eigen
+
+    original = eigen.monotone_iteration
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "monotone_iteration", counted)
+    est = bracket(op, lambda r: -1.0 - r**2, grid=eb.build_grid(1.0, N, 101), sign=sign,
+                  bracket_width=0.02)
+    assert est.cw_bracket is not None
+    assert calls == []
+    assert {p[2] for p in est.probes} == {"cw"}
+
+
+def test_envelope_end_in_cw_guard_band_runs_monotone_iteration(monkeypatch):
+    # a guard wide enough to cover the upper end |c|_inf + 1 = 2 leaves that
+    # end undecided by the bracket, so the configuration check runs it
+    from dataclasses import replace
+
+    from eigenball import eigen
+
+    original = eigen._collatz_wielandt
+    monkeypatch.setattr(eigen, "_collatz_wielandt", lambda *a: replace(original(*a), guard=1.5))
+    est = bracket(LAP, -1.0)
+    assert est.probes[0] == (-2.0, "converged", "cw")
+    assert est.probes[1] == (2.0, "unbounded", "monotone")
+    assert est.lambda_lo < 1.0 < est.lambda_hi
+    assert est.width <= 1e-3 * 2.0
+    # a bracket that places the upper end below the threshold fails the check
+    monkeypatch.setattr(eigen, "_collatz_wielandt",
+                        lambda *a: replace(original(*a), lo=5.0, hi=5.0))
+    with pytest.raises(eb.BracketError, match="configuration error"):
+        bracket(LAP, -1.0)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"g_scale": 0.0}, {"g_scale": -1.0}, {"g_scale": float("nan")}, {"g_scale": float("inf")},
+     {"bracket_width": 0.0}, {"bracket_width": float("nan")}],
+    ids=["g_scale-0", "g_scale-neg", "g_scale-nan", "g_scale-inf", "width-0", "width-nan"],
+)
+def test_eigen_options_reject_bad_values(kw):
+    with pytest.raises(ValueError):
+        eb.EigenOptions(**kw)
 
 
 def test_nonzero_alpha_uses_only_monotone_probes():
