@@ -17,7 +17,10 @@ and the first that lowers the norm is accepted.  L is built once per
 accepted iterate.  The solve ends unconverged when no point lowers the
 norm before 2^-k sup|du| falls to eps (1 + sup|v|), the rounding of v, when
 a step is rejected from an iterate whose residual is at its rounding floor
-(``_floor``), or when LAPACK reports L singular.
+(``_floor``), or when LAPACK reports L singular.  ``eigen.solve_general``
+runs the same solve below both principal eigenvalues, where c + lambda may
+change sign but, for alpha = 0 with a monotone stencil, every frozen-policy
+-L is still a nonsingular M-matrix.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -37,8 +40,9 @@ the central stencil, except in those one-sided rows.
 
 whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
-(direction="down") they decrease.  ``eigen.solve_general`` runs the same
-loop (``_shifted_iterates``) from the negative envelope instead of 0.
+(direction="down") they decrease.  ``eigen.solve_general`` runs it only
+for its two envelopes, and solves for u by the Newton solve above, started
+at the negative envelope.
 
 The dichotomy needs two facts about the shift s, and s is the smallest
 that gives both: c - s <= -1, so every inner problem is coercive with the
@@ -252,14 +256,13 @@ class SolveWorkspace:
 class SolveReport:
     """Outcome of one Neumann solve.
 
-    ``iterations`` counts the accepted steps and ``rejected`` the rejected
-    Newton steps and backtracked points (``_Driver._newton``); each costs
-    one residual evaluation, and only a Newton step makes a tridiagonal
-    solve.  ``solve_general``, whose iterations are fixed-point steps,
-    reports 0 rejected.  ``residual_floor`` is the smallest residual
-    floating point resolves at the returned solution (``_floor``); a solve
-    that stops there because ``tol`` lies below it reports ``converged``
-    False.
+    ``iterations`` counts the accepted Newton steps and ``rejected`` the
+    rejected Newton steps and backtracked points (``_Driver._newton``), for
+    ``solve_neumann`` and ``solve_general`` alike; each costs one residual
+    evaluation, and only a Newton step makes a tridiagonal solve.
+    ``residual_floor`` is the smallest residual floating point resolves at
+    the returned solution (``_floor``); a solve that stops there because
+    ``tol`` lies below it reports ``converged`` False.
     """
 
     solution: GridFunction
@@ -510,7 +513,8 @@ class _Driver:
         escaping past U_max.  alpha = 0 iterates are not tested against
         U_max: with a monotone stencil every alpha = 0 step solves a linear
         problem frozen at a policy, which the barrier of ``solve_neumann``
-        bounds.  The best iterate seen is returned.
+        bounds, or below both thresholds the nonnegative inverse of the
+        M-matrix -L.  The best iterate seen is returned.
         """
         steps = rejected = 0
         bound_violation = False
@@ -583,8 +587,11 @@ class _Driver:
         """
         v = v0
         if self.alpha > 0.0 and not v.any():
-            # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g
-            v = signed_power(g / self.c_eff, -self.alpha / (self.alpha + 1.0))
+            # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g, with
+            # c capped at -1 where c + lambda >= -1 (it may vanish below both
+            # thresholds, ``eigen.solve_general``)
+            c = np.minimum(self.c_eff, -1.0)
+            v = signed_power(g / c, -self.alpha / (self.alpha + 1.0))
             res0 = None
         if res0 is None or aux0 is None:
             res0, aux0 = self.residual(g, v)
@@ -608,50 +615,23 @@ def _initial_array(opts, n):
     return values
 
 
-def _shifted_iterates(op, grid, b, c, lam, g, u0, opts, workspace):
-    """The shifted fixed point (module docstring) from u0.
-
-    Yields ``(u_k, sup|u_k|, inner_tol)`` for at most ``opts.max_iter``
-    steps.  The inner tolerance is tol/10 scaled by a bound on the inner
-    data, so it stays meaningful when the iterates grow large, and never
-    below the stencil's rounding floor; an inner solve that misses it
-    raises ``InnerSolveError``.
-    """
-    c_inf = float(np.max(np.abs(c)))
-    # the smallest admissible shift (module docstring)
-    shift = max(float(np.max(c)) + 1.0, -lam)
-    factor = lam + shift
-    g_sup = float(np.max(np.abs(g)))
-    driver = _Driver(op, grid, b, c - shift, workspace)
-    # attainable residual floor of the inner solves, per unit of ||u||
-    eps_floor = _rounding_floor(op, grid, c_inf)
-    inner = SolveOptions(max_iter=opts.inner_max_iter)
-    u = u0
-    sup = _supabs(u)
-    res = aux = g_prev = None
-    for step in range(1, opts.max_iter + 1):
-        g_inner = g - factor * signed_power(u, op.alpha)
-        if res is not None:
-            # only the data changed since the last iterate, so the stored
-            # residual shifts by the data difference exactly and the
-            # derivative data (aux) at u is still valid
-            res = res + (g_prev - g_inner)
-        else:
-            res, aux = driver.residual(g_inner, u)
-        g_prev = g_inner
-        # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
-        # bound is enough for tolerance/limit scaling
-        g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
-        inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
-        inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
-        if not ok:
-            raise InnerSolveError(
-                step,
-                f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",
-            )
-        sup = _supabs(u)
-        yield u, sup, inner.tol
+def _solve_report(driver, g, v0, opts) -> SolveReport:
+    """Run ``driver.solve`` from v0 and report the outcome, with the
+    residual floor at the returned iterate."""
+    v, _, aux, rs, bands, iterations, rejected, converged, bound_violation = (
+        driver.solve(g, v0, opts)
+    )
+    if bands is None:
+        bands = driver._bands(v, aux)
+    return SolveReport(
+        solution=GridFunction(driver.grid, v),
+        residual_sup=rs,
+        iterations=iterations,
+        rejected=rejected,
+        converged=converged,
+        bound_violation=bound_violation and not converged,
+        residual_floor=_floor(v, bands),
+    )
 
 
 # ------------------------------- public API ---------------------------------
@@ -720,21 +700,7 @@ def solve_neumann(
         )
     c0 = float(-np.max(c_eff))
     driver = _Driver(op, grid, b, c_eff, opts.workspace)
-    v0 = _initial_array(opts, grid.n)
-    v, _, aux, rs, bands, iterations, rejected, converged, bound_violation = (
-        driver.solve(g, v0, opts)
-    )
-    if bands is None:
-        bands = driver._bands(v, aux)
-    report = SolveReport(
-        solution=GridFunction(grid, v),
-        residual_sup=rs,
-        iterations=iterations,
-        rejected=rejected,
-        converged=converged,
-        bound_violation=bound_violation and not converged,
-        residual_floor=_floor(v, bands),
-    )
+    report = _solve_report(driver, g, _initial_array(opts, grid.n), opts)
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo
     if report.converged:
@@ -781,29 +747,58 @@ def monotone_iteration(
             f"min g = {np.min(g):.6g}"
         )
 
+    # the smallest admissible shift (module docstring)
+    shift = max(float(np.max(c)) + 1.0, -lam)
+    factor = lam + shift
+    g_sup = float(np.max(np.abs(g)))
+    driver = _Driver(op, grid, b, c - shift, opts.workspace)
+    # attainable residual floor of the inner solves, per unit of ||u||
+    eps_floor = _rounding_floor(op, grid, float(np.max(np.abs(c))))
+    inner = SolveOptions(max_iter=opts.inner_max_iter)
     u = np.zeros(grid.n)
+    sup = 0.0
+    res = aux = g_prev = None
     sup_norms = [0.0]
     min_values = [0.0]
     flags = []
     verdict = Verdict.MAX_ITER
-    iterates = _shifted_iterates(op, grid, b, c, lam, g, u, opts, opts.workspace)
-    for u_new, sup, inner_tol in iterates:
+    for step in range(1, opts.max_iter + 1):
+        g_inner = g - factor * signed_power(u, op.alpha)
+        if res is not None:
+            # only the data changed since the last iterate, so the stored
+            # residual shifts by the data difference exactly and the
+            # derivative data (aux) at u is still valid
+            res = res + (g_prev - g_inner)
+        else:
+            res, aux = driver.residual(g_inner, u)
+        g_prev = g_inner
+        # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
+        # bound is enough for tolerance/limit scaling
+        g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
+        inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
+        inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
+        u_new, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        if not ok:
+            raise InnerSolveError(
+                step,
+                f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",
+            )
         dvec = u_new - u
         dmin = float(dvec.min())
         dmax = float(dvec.max())
-        slack = 10.0 * inner_tol
+        slack = 10.0 * inner.tol
         if direction == "up":
             flags.append(dmin >= -slack)
         else:
             flags.append(dmax <= slack)
-        change = max(dmax, -dmin)
         u = u_new
+        sup = _supabs(u)
         sup_norms.append(sup)
         min_values.append(float(u.min()))
-        if sup_norms[-1] > opts.U_max:
+        if sup > opts.U_max:
             verdict = Verdict.UNBOUNDED
             break
-        if change < opts.tol:
+        if max(dmax, -dmin) < opts.tol:
             verdict = Verdict.CONVERGED
             break
 

@@ -179,14 +179,51 @@ def test_solve_general_sign_changing_data():
 
 
 def test_solve_general_converges_on_the_benchmark_data():
-    # at lambda = 0 with c = -1 the shift s = max(max c + 1, -lambda) is 0, so
-    # the first inner solve is the problem itself
+    # u is one Newton solve of the full problem; for the Laplacian, a linear
+    # operator, it takes a single step
     grid = eb.build_grid(1.0, 2, 401)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=lambda r: np.sin(3.0 * r) - 0.2)
     rep = eb.solve_general(LAP, coeff, 0.0, None, grid)
     assert rep.converged and rep.sandwich_ok
     assert rep.residual_sup <= 1e-9
     assert rep.iterations <= 3
+
+
+NEAR_THRESHOLD_OPS = {
+    "laplacian": LAP,
+    "pucci_minus": eb.EllipticOperator.pucci_minus(1.0, 2.0),
+    "pucci_plus": eb.EllipticOperator.pucci_plus(1.0, 2.0),
+    "p_laplacian_3": eb.EllipticOperator.p_laplacian(3.0),
+    "pucci_minus_alpha_0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_THRESHOLD_OPS))
+def test_solve_general_converges_near_the_threshold(name):
+    # with c = -1 both principal eigenvalues are 1 for every operator, and the
+    # fixed point the envelopes run contracts at the rate 0.99 at lambda = 0.99
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=lambda r: np.sin(3.0 * r) - 0.2)
+    opts = eb.SolveOptions(tol=1e-7)
+    rep = eb.solve_general(NEAR_THRESHOLD_OPS[name], coeff, 0.99, None, GRID, opts)
+    assert rep.converged and rep.sandwich_ok
+    assert rep.residual_sup <= opts.tol
+
+
+@pytest.mark.parametrize("name", ["p_laplacian_3", "pucci_minus_alpha_0.5"])
+@pytest.mark.parametrize(
+    "g", [lambda r: np.sin(3.0 * r) - 0.2, 0.0], ids=["sign_changing", "zero"]
+)
+def test_solve_general_where_c_plus_lambda_vanishes(name, g):
+    # c + lambda = 0.25 - r^2 vanishes at the node r = 0.5.  With g = 0 both
+    # envelopes are 0, so the Newton solve starts from 0, where the alpha > 0
+    # start c |u|^alpha u = g must not divide by c + lambda
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: -r * r, g=g)
+    assert 0.5 in GRID.nodes
+    opts = eb.SolveOptions(tol=1e-7)
+    with np.errstate(divide="raise", invalid="raise"):
+        rep = eb.solve_general(NEAR_THRESHOLD_OPS[name], coeff, 0.25, None, GRID, opts)
+    assert rep.converged and rep.sandwich_ok
+    assert rep.residual_sup <= opts.tol
 
 
 def test_solve_general_rejects_shift_above_threshold():
