@@ -26,6 +26,7 @@ import numpy as np
 from .certify import (
     GridResolutionError,
     InfeasibleParams,
+    beta2_upper_bound,
     build_params,
     build_supersolution,
     default_c_band,
@@ -126,6 +127,19 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _integer(value, where: str) -> int:
+    """A config integer: an int, an integral float (401.0) or an integer
+    string; a fraction is an error, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _parse_profile(spec, base_dir: Path, band_params=None, where: str = "profile"):
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return constant_profile(float(spec))
@@ -200,8 +214,8 @@ def _parse_grid(d: dict):
     try:
         return build_grid(
             float(_require(d, "R", "grid")),
-            int(_require(d, "N_dim", "grid")),
-            int(_require(d, "n", "grid")),
+            _integer(_require(d, "N_dim", "grid"), "grid: N_dim"),
+            _integer(_require(d, "n", "grid"), "grid: n"),
         )
     except ConfigError:
         raise
@@ -210,36 +224,39 @@ def _parse_grid(d: dict):
 
 
 def _parse_certify_params(cfg: dict, grid, op):
+    """``build_params`` of the certify section.  A field that is missing or
+    not a finite number, and a geometry without a beta2 bound, are config
+    errors; a beta2 at or above the bound raises ``InfeasibleParams``."""
     c = cfg.get("certify")
     if not isinstance(c, dict):
         raise ConfigError("certify: section missing or not an object")
-    rho = float(_require(c, "rho", "certify"))
-    k = float(_require(c, "k", "certify"))
-    beta1 = float(_require(c, "beta1", "certify"))
-    if "beta2" in c:
-        beta2 = float(c["beta2"])
-    elif "beta2_fraction" in c:
-        from .certify import beta2_upper_bound
-
-        beta2 = float(c["beta2_fraction"]) * beta2_upper_bound(
-            grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1
-        )
-    else:
+    for key in ("rho", "k", "beta1"):
+        _require(c, key, "certify")
+    if "beta2" not in c and "beta2_fraction" not in c:
         raise ConfigError("certify: need beta2 or beta2_fraction")
-    kw = {}
-    if "eps" in c or "eps_prime" in c:
-        kw["eps"] = float(_require(c, "eps", "certify"))
-        kw["eps_prime"] = float(_require(c, "eps_prime", "certify"))
-    return build_params(
-        grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1, beta2, **kw
-    )
+    if ("eps" in c) != ("eps_prime" in c):
+        raise ConfigError("certify: give both eps and eps_prime, or neither")
+    keys = ("rho", "k", "beta1", "beta2", "beta2_fraction", "eps", "eps_prime")
+    for key in filter(c.__contains__, keys):
+        value = c[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ConfigError(f"certify: {key} must be a finite number")
+    rho, k, beta1 = float(c["rho"]), float(c["k"]), float(c["beta1"])
+    try:
+        limit = beta2_upper_bound(grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1)
+    except ValueError as e:
+        raise ConfigError(f"certify: {e}") from None
+    beta2 = float(c["beta2"]) if "beta2" in c else float(c["beta2_fraction"]) * limit
+    kw = {key: float(c[key]) for key in ("eps", "eps_prime") if key in c}
+    return build_params(grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1, beta2, **kw)
 
 
 def _solver_options(cfg: dict) -> SolveOptions:
     s = cfg.get("solver", {})
     return SolveOptions(
         tol=float(s.get("tol", 1e-9)),
-        max_iter=int(s.get("max_iter", 20000)),
+        max_iter=_integer(s.get("max_iter", 20000), "max_iter"),
         U_max=float(s.get("U_max", 1e6)),
     )
 
@@ -256,14 +273,14 @@ def _eigen_options(cfg: dict) -> EigenOptions:
             float(e["eig_residual_tol"]) if "eig_residual_tol" in e else None
         ),
         tol=float(s.get("tol", 1e-9)),
-        max_outer=int(e.get("max_outer", 400_000)),
-        inner_max_iter=int(s.get("max_iter", 20000)),
+        max_outer=_integer(e.get("max_outer", 400_000), "max_outer"),
+        inner_max_iter=_integer(s.get("max_iter", 20000), "max_iter"),
         U_max=float(s.get("U_max", 1e6)),
     )
 
 
 def _check_samples(cfg: dict) -> int:
-    samples = int(cfg.get("check", {}).get("samples", 10000))
+    samples = _integer(cfg.get("check", {}).get("samples", 10000), "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     return samples
@@ -276,27 +293,32 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
     command = _require(cfg, "command", "config")
     if command not in COMMANDS:
         raise ConfigError(f"config: unknown command {command!r}")
-    cfg["seed"] = int(seed_override if seed_override is not None else cfg.get("seed", 0))
+    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+    cfg["seed"] = _integer(seed, "config: seed")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config: seed must be >= 0, got {cfg['seed']}")
     cfg["_base_dir"] = str(base_dir)
     if command == "sweep":
         sw = _require(cfg, "sweep", "config")
+        if not isinstance(sw, dict):
+            raise ConfigError("sweep: section must be an object")
         base = _require(sw, "base", "sweep")
+        if not isinstance(base, dict):
+            raise ConfigError("sweep: base must be an object")
         if base.get("command") not in COMMANDS or base.get("command") == "sweep":
             raise ConfigError("sweep: base.command must be a non-sweep command")
         params = _require(sw, "parameters", "sweep")
         if not isinstance(params, list) or not params:
             raise ConfigError("sweep: parameters must be a non-empty list")
         for p in params:
-            _require(p, "path", "sweep.parameters")
+            if not isinstance(p, dict):
+                raise ConfigError("sweep: each parameter must be an object")
+            if not isinstance(_require(p, "path", "sweep.parameters"), str):
+                raise ConfigError("sweep: each parameter path must be a string")
             values = _require(p, "values", "sweep.parameters")
             if not isinstance(values, list) or not values:
                 raise ConfigError("sweep: each parameter needs a non-empty values list")
-        try:
-            int(sw.get("workers", 0))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"sweep: workers must be an integer, got {sw.get('workers')!r}"
-            ) from None
+        _integer(sw.get("workers", 0), "sweep: workers")
         for overrides in _sweep_tuples(cfg):
             _validate_leaf(_sweep_leaf(cfg, overrides), base_dir)
     else:
@@ -304,27 +326,20 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
     return cfg
 
 
-def _check_certify_fields(cfg: dict) -> None:
-    c = cfg.get("certify")
-    if not isinstance(c, dict):
-        raise ConfigError("certify: section missing or not an object")
-    for key in ("rho", "k", "beta1"):
-        value = _require(c, key, "certify")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"certify: {key} must be a number")
-    if "beta2" not in c and "beta2_fraction" not in c:
-        raise ConfigError("certify: need beta2 or beta2_fraction")
-
-
 def _validate_leaf(cfg: dict, base_dir: Path) -> None:
     command = cfg.get("command")
-    _parse_grid(_require(cfg, "grid", "config"))
-    _parse_operator(_require(cfg, "operator", "config"))
+    grid = _parse_grid(_require(cfg, "grid", "config"))
+    op = _parse_operator(_require(cfg, "operator", "config"))
+    try:
+        op.validate_profiles(grid.nodes)
+    except ValueError as e:
+        raise ConfigError(f"operator: {e}") from None
     band_available = "certify" in cfg or command == "certify"
     if band_available:
-        # field-level check only; feasibility of the band magnitudes is an
-        # execution-time verdict, not a configuration error
-        _check_certify_fields(cfg)
+        try:
+            _parse_certify_params(cfg, grid, op)
+        except InfeasibleParams:
+            pass  # infeasible band magnitudes are the run's verdict, not a config error
     coeffs = cfg.get("coefficients", {})
     if not isinstance(coeffs, dict):
         raise ConfigError("coefficients: section must be an object")
@@ -371,6 +386,8 @@ def _set_path(d: dict, path: str, value) -> None:
     keys = path.split(".")
     for k in keys[:-1]:
         d = d.setdefault(k, {})
+        if not isinstance(d, dict):
+            raise ConfigError(f"sweep: path {path!r} runs through a non-object at {k!r}")
     d[keys[-1]] = value
 
 

@@ -96,15 +96,12 @@ __all__ = [
     "monotone_iteration",
 ]
 
-# scale of the alpha != 0 Newton system (``_Driver._newton``)
-DT_MAX = 1e12
-
 # safety factor on the eps * ||L|| backward error of the stencil
 ROUNDOFF_SAFETY = 10.0
 
 
 def _tridiagonal_lapack():
-    """LAPACK dgttrf, dgttrs and dgtsv from scipy's f2py extension
+    """LAPACK dgttrf and dgttrs from scipy's f2py extension
     ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package.
 
     The package ``__init__`` costs most of the import of eigenball (its
@@ -135,10 +132,10 @@ def _tridiagonal_lapack():
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
         sys.modules.pop(name, None)
-    return flapack.dgttrf, flapack.dgttrs, flapack.dgtsv
+    return flapack.dgttrf, flapack.dgttrs
 
 
-_gttrf, _gttrs, _gtsv = _tridiagonal_lapack()
+_gttrf, _gttrs = _tridiagonal_lapack()
 
 
 def _supabs(x) -> float:
@@ -185,7 +182,8 @@ class Verdict(enum.Enum):
 
 class _TriFactor:
     """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs, bound
-    from scipy's LAPACK extension by ``_tridiagonal_lapack``)."""
+    from scipy's LAPACK extension by ``_tridiagonal_lapack``), the one
+    linear solver of the package."""
 
     __slots__ = ("_lu", "bands")
 
@@ -257,7 +255,7 @@ class SolveReport:
     """Outcome of one Neumann solve.
 
     ``iterations`` counts the accepted Newton steps and ``rejected`` the
-    rejected Newton steps and backtracked points (``_Driver._newton``), for
+    rejected Newton steps and backtracked points (``_Driver.solve``), for
     ``solve_neumann`` and ``solve_general`` alike; each costs one residual
     evaluation, and only a Newton step makes a tridiagonal solve.
     ``residual_floor`` is the smallest residual floating point resolves at
@@ -434,8 +432,7 @@ class _Driver:
         Jacobian of the flux form under the policy frozen in aux.
 
         For alpha = 0 that is the frozen-coefficient operator L with
-        L v = G(v) exactly, which makes the large-dt limit a policy
-        iteration.
+        L v = G(v) exactly, which makes the Newton steps a policy iteration.
         """
         s, w_rad, w_tan, m, delta, vsup = aux
         P, Q = self._flux_weights(w_rad, w_tan)
@@ -469,12 +466,12 @@ class _Driver:
         return lower, diag, upper
 
     def _factor(self, v, aux):
-        """LU factor of the alpha = 0 bands at v, cached in the workspace
-        and keyed by the policy (w_rad, w_tan), on which alone they depend;
-        None when they are singular."""
+        """LU factor of the bands at v, None when they are singular; alpha = 0
+        bands depend on v only through the policy (w_rad, w_tan), so their
+        factor is cached in the workspace and keyed by it."""
         ws = self.ws
-        pattern = np.concatenate(aux[1:3]).tobytes()
-        if ws.pattern != pattern:
+        pattern = np.concatenate(aux[1:3]).tobytes() if self.alpha == 0.0 else None
+        if pattern is None or ws.pattern != pattern:
             try:
                 ws.factor = _TriFactor(*self._bands(v, aux))
             except np.linalg.LinAlgError:
@@ -484,16 +481,18 @@ class _Driver:
 
     # -- solver -------------------------------------------------------------
 
-    def _newton(self, g, v, res, aux, rs, tol, opts, budget):
-        """Backtracked Newton steps until the residual drops below tol.
+    def solve(self, g, v, opts, res=None, aux=None):
+        """Backtracked Newton steps from v until the residual drops below
+        opts.tol, at most opts.max_iter of them; ``res``/``aux`` may carry a
+        residual already evaluated at v.
 
         Step acceptance uses the Euclidean residual norm as merit: it
         tolerates the single-node flips the degenerate gradient factor
         produces, and since sup <= l2 the sup-norm convergence test is only
-        taken earlier.  The bands are built once per accepted iterate.  For
-        alpha = 0 the Newton step is du = -L^-1 residual from the
-        policy-keyed factor (``_factor``), whose bands serve as those of the
-        iterate; for alpha != 0 it is one LAPACK gtsv solve.
+        taken earlier.  Every Newton step is du = -L^-1 residual with the
+        factor of the bands at the iterate (``_factor``), which serve as the
+        bands of the iterate; for alpha = 0 that factor is cached per
+        policy.
 
         A rejected Newton step du from an iterate above its floor is
         backtracked (Dennis & Schnabel 1996, sec. 6.3): the points
@@ -505,48 +504,45 @@ class _Driver:
         |s| or |v|, it need not.  Once 2^-k sup|du| <= eps (1 + sup|v|), the
         points no longer move v beyond its rounding, and the solve ends.
 
-        Returns (v, res, aux, rs, bands, steps, rejected, bound_violation):
-        bands those of the returned v if built (else None), rejected the
-        rejected Newton steps and backtracked points.  Also stops on a step
-        rejected from an iterate whose residual is at its floor, on a
-        singular system, on the step budget, or on an alpha != 0 iterate
-        escaping past U_max.  alpha = 0 iterates are not tested against
-        U_max: with a monotone stencil every alpha = 0 step solves a linear
-        problem frozen at a policy, which the barrier of ``solve_neumann``
-        bounds, or below both thresholds the nonnegative inverse of the
-        M-matrix -L.  The best iterate seen is returned.
+        Returns (v, res, aux, rs, bands, iterations, rejected, converged,
+        bound_violation): bands those of the returned v if built (else
+        None), iterations the accepted Newton steps, rejected the rejected
+        Newton steps and backtracked points.  Also stops on a step rejected
+        from an iterate whose residual is at its floor, on singular bands,
+        or on an alpha != 0 iterate escaping past U_max.  alpha = 0 iterates
+        are not tested against U_max: with a monotone stencil every
+        alpha = 0 step solves a linear problem frozen at a policy, which the
+        barrier of ``solve_neumann`` bounds, or below both thresholds the
+        nonnegative inverse of the M-matrix -L.  The best iterate seen is
+        returned.
         """
+        if self.alpha > 0.0 and not v.any():
+            # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g, with
+            # c capped at -1 where c + lambda >= -1 (it may vanish below both
+            # thresholds, ``eigen.solve_general``)
+            c = np.minimum(self.c_eff, -1.0)
+            v = signed_power(g / c, -self.alpha / (self.alpha + 1.0))
+            res = None
+        if res is None or aux is None:
+            res, aux = self.residual(g, v)
+        rs = _supabs(res)
         steps = rejected = 0
         bound_violation = False
         merit = math.sqrt(res.dot(res))
         best = (v, res, aux, rs)
         bands = None
-        while steps < budget and rs > tol:
+        while steps < opts.max_iter and rs > opts.tol:
             if bands is None:
                 # a new iterate: its Newton step
-                if self.alpha == 0.0:
-                    factor = self._factor(v, aux)
-                    if factor is None:
-                        break
-                    bands = factor.bands
-                    du = factor.solve(res)
-                    du *= -1.0
-                else:
-                    if _supabs(v) > opts.U_max:
-                        bound_violation = True
-                        break
-                    bands = self._bands(v, aux)
-                    lower, diag, upper = bands
-                    # (I - T L) du = T res, the Newton step up to a 1/T shift
-                    # below the rounding of L: solves, iterates and verdicts
-                    # depend on the rounding of this form.  The four arrays
-                    # are temporaries, so LAPACK may overwrite them
-                    *_, du, info = _gtsv(
-                        -DT_MAX * lower, 1.0 - DT_MAX * diag, -DT_MAX * upper,
-                        DT_MAX * res, 1, 1, 1, 1,
-                    )
-                    if info != 0:
-                        break
+                if self.alpha != 0.0 and _supabs(v) > opts.U_max:
+                    bound_violation = True
+                    break
+                factor = self._factor(v, aux)
+                if factor is None:
+                    break
+                bands = factor.bands
+                du = factor.solve(res)
+                du *= -1.0
                 size = None
             v_new = v + du
             res_new, aux_new = self.residual(g, v_new)
@@ -575,30 +571,7 @@ class _Driver:
         if rs > best[3]:
             v, res, aux, rs = best
             bands = None
-        return v, res, aux, rs, bands, steps, rejected, bound_violation
-
-    def solve(self, g, v0, opts, res0=None, aux0=None):
-        """Drive the residual below opts.tol from the initial state v0 with
-        ``_newton``.
-
-        Returns (v, res, aux, rs, bands, iterations, rejected, converged,
-        bound_violation) with the fields of ``_newton``.
-        ``res0``/``aux0`` may carry a residual already evaluated at v0.
-        """
-        v = v0
-        if self.alpha > 0.0 and not v.any():
-            # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g, with
-            # c capped at -1 where c + lambda >= -1 (it may vanish below both
-            # thresholds, ``eigen.solve_general``)
-            c = np.minimum(self.c_eff, -1.0)
-            v = signed_power(g / c, -self.alpha / (self.alpha + 1.0))
-            res0 = None
-        if res0 is None or aux0 is None:
-            res0, aux0 = self.residual(g, v)
-        v, res, aux, rs, bands, iterations, rejected, bound_violation = self._newton(
-            g, v, res0, aux0, _supabs(res0), opts.tol, opts, opts.max_iter
-        )
-        return v, res, aux, rs, bands, iterations, rejected, rs <= opts.tol, bound_violation
+        return v, res, aux, rs, bands, steps, rejected, rs <= opts.tol, bound_violation
 
 
 def _initial_array(opts, n):

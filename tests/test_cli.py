@@ -108,11 +108,32 @@ BASE_CHECK = {
 }
 
 
+BASE_CERTIFY = {
+    "command": "certify",
+    "operator": {"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.0},
+    "grid": {"R": 1.0, "N_dim": 2, "n": 101},
+    "certify": {"rho": 0.25, "k": 4.0, "beta1": 10.0, "beta2_fraction": 0.5},
+    "seed": 0,
+}
+
+
 def _with(base, path, value):
     cfg = json.loads(json.dumps(base))
     section, key = path.split(".")
     cfg[section][key] = value
     return cfg
+
+
+def _sweep(base=BASE_SOLVE, parameter=None, workers=1):
+    return {
+        "command": "sweep",
+        "sweep": {
+            "base": base,
+            "parameters": [parameter or {"path": "grid.n", "values": [51]}],
+            "workers": workers,
+        },
+        "seed": 0,
+    }
 
 
 @pytest.mark.parametrize(
@@ -147,11 +168,42 @@ def _with(base, path, value):
         dict(BASE_SOLVE, coefficients=["const:-1"]),
         # a JSON string, though truthy, is not a boolean
         _with(BASE_SOLVE, "solver.general", "false"),
+        dict(BASE_SOLVE, seed="x"),
+        dict(BASE_CHECK, seed=-1),
+        _with(BASE_CERTIFY, "certify.rho", -0.25),
+        _with(BASE_CERTIFY, "certify.rho", float("nan")),
+        _with(BASE_CERTIFY, "certify.eps", 0.05),
+        dict(
+            BASE_SOLVE,
+            operator={
+                "kind": "anisotropic", "a": 1.0, "A": 2.0, "q": 2.0, "b1": "const:5",
+            },
+        ),
+        dict(_sweep(), sweep=5),
+        _sweep(workers=1.5),
+        _sweep(base=5),
+        _sweep(parameter=5),
+        _sweep(parameter={"path": 3, "values": [51]}),
+        _sweep(parameter={"path": "grid.n.x", "values": [51]}),
+        # the run would use 100 nodes and 2 dimensions while the artifacts
+        # recorded 100.7 and 2.9
+        _with(BASE_SOLVE, "grid.n", 100.7),
+        _with(BASE_SOLVE, "grid.N_dim", 2.9),
+        _with(BASE_SOLVE, "solver.max_iter", 2.5),
+        _with(BASE_EIGEN, "eigen.max_outer", 2.5),
+        _with(BASE_CHECK, "check.samples", 2.5),
+        dict(BASE_SOLVE, seed=1.5),
     ],
     ids=[
         "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
         "solver-int", "sweep-grid-n", "sweep-workers", "check-samples",
-        "coefficients-list", "general-string",
+        "coefficients-list", "general-string", "seed-string", "seed-negative",
+        "certify-rho-negative", "certify-rho-nan", "certify-eps-alone",
+        "anisotropic-b1-outside", "sweep-scalar", "sweep-workers-fraction",
+        "sweep-base-scalar", "sweep-parameter-scalar", "sweep-path-number",
+        "sweep-path-through-scalar", "grid-n-fraction", "N_dim-fraction",
+        "max_iter-fraction", "max_outer-fraction", "samples-fraction",
+        "seed-fraction",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
@@ -160,6 +212,17 @@ def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
     assert code == 3
     assert not out.exists()
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_integral_floats_are_accepted_as_integers(tmp_path):
+    cfg = json.loads(json.dumps(BASE_SOLVE))
+    cfg["grid"].update(n=101.0, N_dim=2.0)
+    cfg["seed"] = 3.0
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["seed"] == 3
+    assert len((out / "solution.csv").read_text().splitlines()) == 1 + 101
 
 
 def test_precondition_failure_exits_2_with_diagnostics(tmp_path):

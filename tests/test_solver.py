@@ -479,24 +479,19 @@ def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
     # on a new (iterate, aux) pair
     calls = []
     runs = [0]
-    attempts = [0]
-    newton, bands, gtsv = _Driver._newton, _Driver._bands, solver._gtsv
+    solve, bands = _Driver.solve, _Driver._bands
 
-    def counted_newton(self, *args, **kwargs):
+    def counted_solve(self, *args, **kwargs):
         runs[0] += 1
-        return newton(self, *args, **kwargs)
+        return solve(self, *args, **kwargs)
 
     def counted_bands(self, v, aux):
         calls.append((runs[0], v, aux))
         return bands(self, v, aux)
 
-    def counted_gtsv(*args):
-        attempts[0] += 1
-        return gtsv(*args)
-
-    monkeypatch.setattr(_Driver, "_newton", counted_newton)
+    monkeypatch.setattr(_Driver, "solve", counted_solve)
     monkeypatch.setattr(_Driver, "_bands", counted_bands)
-    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
+    attempts = _counted_steps(monkeypatch)
     g = eb.build_grid(1.0, 2, 201)
     coeff = eb.CoefficientField(
         b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
@@ -504,7 +499,7 @@ def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
     rep = eb.solve_neumann(STEP_OPERATORS["pucci_minus_a-0.5"], coeff, 0.0, None, g)
     # some Newton step was backtracked: each solve not followed by an
     # accepted point is one rejection, and there are more
-    assert rep.rejected > attempts[0] - rep.iterations
+    assert rep.rejected > len(attempts) - rep.iterations
     keys = [(run, id(v), id(aux)) for run, v, aux in calls]
     assert len(set(keys)) == len(keys)
 
@@ -579,17 +574,17 @@ def test_cold_positive_alpha_solves_take_newton_steps(op, u0):
     assert rep.solution.values[0] == pytest.approx(u0, abs=1e-8)
 
 
-def _counted_gtsv(monkeypatch):
-    """Record the step du of every gtsv solve."""
+def _counted_steps(monkeypatch):
+    """Record the Newton step du = -x of every tridiagonal solve x."""
     calls = []
-    gtsv = solver._gtsv
+    solve = solver._TriFactor.solve
 
-    def counted_gtsv(*args):
-        out = gtsv(*args)
-        calls.append(out[-2].copy())
-        return out
+    def counted_solve(self, rhs):
+        x = solve(self, rhs)
+        calls.append(-x)
+        return x
 
-    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
+    monkeypatch.setattr(solver._TriFactor, "solve", counted_solve)
     return calls
 
 
@@ -610,10 +605,10 @@ def _counted_residual(monkeypatch):
 @pytest.mark.parametrize(
     "op, max_steps, max_trials",
     [
-        # 14 steps and 14 gtsv calls; 53 steps in 106 gtsv calls when every
+        # 14 steps and 14 solves; 53 steps in 106 solves when every
         # rejected Newton step went to the margin cut and dt halving
         (eb.EllipticOperator.p_laplacian(3.0), 20, 20),
-        # 13 steps and 14 gtsv calls before the floor stop; 38 in 69
+        # 13 steps and 14 solves before the floor stop; 38 in 69
         (STEP_OPERATORS["pucci_minus_a-0.5"], 16, 16),
     ],
     ids=["p_laplacian_p3", "pucci_minus_a-0.5"],
@@ -622,7 +617,7 @@ def test_ptc_steps_past_the_newton_plateau(monkeypatch, op, max_steps, max_trial
     # a rejected Newton step is backtracked along its own direction at the
     # cost of one residual per point, so the run neither halves dt through a
     # plateau of near-identical trial steps nor climbs it back
-    calls = _counted_gtsv(monkeypatch)
+    calls = _counted_steps(monkeypatch)
     points = _counted_residual(monkeypatch)
     rep = eb.solve_neumann(op, MIX, 0.0, None, eb.build_grid(1.0, 2, 401))
     assert rep.converged is (op.alpha > 0)
@@ -648,10 +643,9 @@ def test_rejected_newton_step_backtracks_before_any_pseudo_time_trial(monkeypatc
     v = eb.signed_power(g / c, -0.5)
     res, aux = driver.residual(g, v)
     merit = float(np.sqrt(res @ res))
-    calls = _counted_gtsv(monkeypatch)
+    calls = _counted_steps(monkeypatch)
     points = _counted_residual(monkeypatch)
-    opts = eb.SolveOptions()
-    out = driver._newton(g, v, res, aux, solver._supabs(res), opts.tol, opts, 1)
+    out = driver.solve(g, v, eb.SolveOptions(max_iter=1), res, aux)
     steps, rejected = out[5:7]
     # one solve, the Newton step, then points v + 2^-k du_N with no solve
     assert len(calls) == 1
@@ -676,11 +670,21 @@ def test_cold_pucci_solve_with_drift_makes_one_solve_per_step(monkeypatch):
     coeff = eb.CoefficientField(
         b=0.3, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.9 * np.cos(np.pi * r)
     )
-    calls = _counted_gtsv(monkeypatch)
+    calls = _counted_steps(monkeypatch)
+    factorizations = [0]
+    gttrf = solver._gttrf
+
+    def counted_gttrf(*args):
+        factorizations[0] += 1
+        return gttrf(*args)
+
+    monkeypatch.setattr(solver, "_gttrf", counted_gttrf)
     rep = eb.solve_neumann(op, coeff, 0.0, None, grid)
     assert rep.converged
     assert rep.iterations <= 150
     assert len(calls) == rep.iterations
+    # alpha != 0 bands depend on the iterate: each Newton solve factors them
+    assert factorizations[0] == len(calls)
 
 
 @pytest.mark.parametrize("n", [101, 401])
@@ -740,25 +744,20 @@ def test_pucci_plus_with_wide_ellipticity_converges_in_newton_steps(N, n):
 )
 def test_monotone_iteration_reuses_one_factor_per_policy(monkeypatch, op, b, steps, factorizations):
     # every alpha = 0 Newton step of the inner solves comes from the factor
-    # cached for its policy: one gttrf per policy change and no gtsv
-    calls = {"gttrf": 0, "gtsv": 0}
-    gttrf, gtsv = solver._gttrf, solver._gtsv
+    # cached for its policy: one gttrf per policy change
+    calls = {"gttrf": 0}
+    gttrf = solver._gttrf
 
     def counted_gttrf(*args):
         calls["gttrf"] += 1
         return gttrf(*args)
 
-    def counted_gtsv(*args):
-        calls["gtsv"] += 1
-        return gtsv(*args)
-
     monkeypatch.setattr(solver, "_gttrf", counted_gttrf)
-    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
     coeff = eb.CoefficientField(b=b, c=lambda r: -1.0 - r**2, g=-1.0)
     rep = eb.monotone_iteration(op, coeff, 1.5, None, eb.build_grid(1.0, 2, 401))
     assert rep.verdict is Verdict.CONVERGED
     assert rep.iterations == steps
-    assert calls == {"gttrf": factorizations, "gtsv": 0}
+    assert calls == {"gttrf": factorizations}
 
 
 # ------------------------------ LAPACK binding -------------------------------
@@ -791,10 +790,9 @@ SAME_ROUTINES = """
     import numpy as np
     import scipy.linalg
     from eigenball import solver
-    routines = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.array([1.0]),))
+    routines = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
     assert routines[0] is solver._gttrf
     assert routines[1] is solver._gttrs
-    assert routines[2] is solver._gtsv
 """
 
 
@@ -803,7 +801,7 @@ def test_lapack_routines_are_scipys_after_eigenball_import():
         import eigenball
         import scipy.linalg
         from scipy.optimize import minimize
-        assert scipy.linalg._flapack.dgtsv is eigenball.solver._gtsv
+        assert scipy.linalg._flapack.dgttrf is eigenball.solver._gttrf
         res = minimize(lambda x: ((x - 1.0) ** 2).sum(), [0.0, 3.0], method="L-BFGS-B")
         assert res.success and abs(res.x - 1.0).max() < 1e-6
     """, SAME_ROUTINES)
