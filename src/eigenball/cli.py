@@ -127,6 +127,13 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: section must be an object")
+    return section
+
+
 def _integer(value, where: str) -> int:
     """A config integer: an int, an integral float (401.0) or an integer
     string; a fraction is an error, never truncated."""
@@ -140,72 +147,77 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _parse_profile(spec, base_dir: Path, band_params=None, where: str = "profile"):
+def _number(value, where: str) -> float:
+    """A config float: anything ``float()`` takes (1e-9, "1e-9") except a
+    bool or a non-finite value (NaN, Infinity, "inf")."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _checked(where: str, build, *args, **kw):
+    """``build(*args, **kw)``, its ValueError reported as a config error."""
+    try:
+        return build(*args, **kw)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _parse_profile(spec, base_dir: Path, where: str):
+    """A radial profile other than ``band``, which needs the certify params."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return constant_profile(float(spec))
+        return constant_profile(_number(spec, where))
     if not isinstance(spec, str):
         raise ConfigError(f"{where}: cannot interpret {spec!r} as a profile")
     if spec.startswith("const:"):
-        try:
-            return constant_profile(float(spec[6:]))
-        except ValueError:
-            raise ConfigError(f"{where}: bad constant profile {spec!r}") from None
+        return constant_profile(_number(spec[6:], f"{where}: const value"))
     if spec.startswith("poly:"):
-        try:
-            coeffs = [float(t) for t in spec[5:].split(",")]
-        except ValueError:
-            raise ConfigError(f"{where}: bad poly profile {spec!r}") from None
-        return poly_profile(coeffs)
+        return poly_profile(
+            [_number(t, f"{where}: poly coefficient") for t in spec[5:].split(",")]
+        )
     if spec.startswith("table:"):
         path = base_dir / spec[6:]
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"{where}: table file {path} not found")
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError(f"{where}: table file {path} must have two columns")
-        return table_profile(data[:, 0], data[:, 1])
-    if spec == "band":
-        if band_params is None:
-            raise ConfigError(
-                f"{where}: 'band' profile needs a certify section to build from"
-            )
-        return default_c_band(band_params)
+        try:
+            data = np.genfromtxt(path, delimiter=",", skip_header=1)
+            if data.ndim != 2 or data.shape[1] != 2:
+                raise ValueError("must have two columns")
+            if not np.isfinite(data).all():
+                raise ValueError("has a cell that is not a finite number")
+            return table_profile(data[:, 0], data[:, 1])
+        except ValueError as e:
+            raise ConfigError(f"{where}: table file {path}: {e}") from None
     raise ConfigError(f"{where}: unknown profile spec {spec!r}")
 
 
-def _parse_operator(d: dict) -> EllipticOperator:
+def _parse_operator(d: dict, base_dir: Path) -> EllipticOperator:
     if not isinstance(d, dict):
         raise ConfigError("operator: must be an object")
     kind = _require(d, "kind", "operator")
-    try:
-        if kind in ("pucci_minus", "pucci_plus"):
-            a = float(_require(d, "a", "operator"))
-            A = float(_require(d, "A", "operator"))
-            alpha = float(d.get("alpha", 0.0))
-            ctor = (
-                EllipticOperator.pucci_minus
-                if kind == "pucci_minus"
-                else EllipticOperator.pucci_plus
-            )
-            return ctor(a, A, alpha)
-        if kind == "p_laplacian":
-            return EllipticOperator.p_laplacian(float(_require(d, "p", "operator")))
-        if kind == "anisotropic":
-            b1 = d.get("b1")
-            b2 = d.get("b2")
-            return EllipticOperator.anisotropic(
-                float(_require(d, "a", "operator")),
-                float(_require(d, "A", "operator")),
-                float(_require(d, "q", "operator")),
-                float(d.get("c0", 0.0)),
-                b1_profile=None if b1 is None else _parse_profile(b1, Path("."), where="operator.b1"),
-                b2_profile=None if b2 is None else _parse_profile(b2, Path("."), where="operator.b2"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"operator: {e}") from None
-    raise ConfigError(f"operator: unknown kind {kind!r}")
+
+    def number(key, default=None):
+        value = _require(d, key, "operator") if default is None else d.get(key, default)
+        return _number(value, f"operator: {key}")
+
+    if kind in ("pucci_minus", "pucci_plus"):
+        args, kw = (number("a"), number("A"), number("alpha", 0.0)), {}
+    elif kind == "p_laplacian":
+        args, kw = (number("p"),), {}
+    elif kind == "anisotropic":
+        args = (number("a"), number("A"), number("q"), number("c0", 0.0))
+        kw = {
+            f"{key}_profile": _parse_profile(d[key], base_dir, f"operator.{key}")
+            for key in ("b1", "b2")
+            if d.get(key) is not None
+        }
+    else:
+        raise ConfigError(f"operator: unknown kind {kind!r}")
+    return _checked("operator", getattr(EllipticOperator, kind), *args, **kw)
 
 
 def _parse_grid(d: dict):
@@ -213,7 +225,7 @@ def _parse_grid(d: dict):
         raise ConfigError("grid: must be an object")
     try:
         return build_grid(
-            float(_require(d, "R", "grid")),
+            _number(_require(d, "R", "grid"), "grid: R"),
             _integer(_require(d, "N_dim", "grid"), "grid: N_dim"),
             _integer(_require(d, "n", "grid"), "grid: n"),
         )
@@ -223,11 +235,10 @@ def _parse_grid(d: dict):
         raise ConfigError(str(e)) from None
 
 
-def _parse_certify_params(cfg: dict, grid, op):
+def _parse_certify_params(c, grid, op):
     """``build_params`` of the certify section.  A field that is missing or
     not a finite number, and a geometry without a beta2 bound, are config
     errors; a beta2 at or above the bound raises ``InfeasibleParams``."""
-    c = cfg.get("certify")
     if not isinstance(c, dict):
         raise ConfigError("certify: section missing or not an object")
     for key in ("rho", "k", "beta1"):
@@ -237,53 +248,97 @@ def _parse_certify_params(cfg: dict, grid, op):
     if ("eps" in c) != ("eps_prime" in c):
         raise ConfigError("certify: give both eps and eps_prime, or neither")
     keys = ("rho", "k", "beta1", "beta2", "beta2_fraction", "eps", "eps_prime")
-    for key in filter(c.__contains__, keys):
-        value = c[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)):
-            raise ConfigError(f"certify: {key} must be a finite number")
-    rho, k, beta1 = float(c["rho"]), float(c["k"]), float(c["beta1"])
-    try:
-        limit = beta2_upper_bound(grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1)
-    except ValueError as e:
-        raise ConfigError(f"certify: {e}") from None
-    beta2 = float(c["beta2"]) if "beta2" in c else float(c["beta2_fraction"]) * limit
-    kw = {key: float(c[key]) for key in ("eps", "eps_prime") if key in c}
-    return build_params(grid.N_dim, op.a, op.A, op.alpha, grid.R, rho, k, beta1, beta2, **kw)
+    x = {key: _number(c[key], f"certify: {key}") for key in keys if key in c}
+    geometry = (grid.N_dim, op.a, op.A, op.alpha, grid.R, x["rho"], x["k"], x["beta1"])
+    limit = _checked("certify", beta2_upper_bound, *geometry)
+    beta2 = x["beta2"] if "beta2" in x else x["beta2_fraction"] * limit
+    kw = {key: x[key] for key in ("eps", "eps_prime") if key in x}
+    return build_params(*geometry, beta2, **kw)
 
 
-def _solver_options(cfg: dict) -> SolveOptions:
-    s = cfg.get("solver", {})
-    return SolveOptions(
-        tol=float(s.get("tol", 1e-9)),
-        max_iter=_integer(s.get("max_iter", 20000), "max_iter"),
-        U_max=float(s.get("U_max", 1e6)),
-    )
+def _parse_options(cfg: dict):
+    """The command's own options: (SolveOptions, lambda, general) for solve,
+    (EigenOptions, sign) for eigen, the sample count for check-operator."""
+    command = cfg["command"]
+    if command in ("solve", "eigen"):
+        s = _section(cfg, "solver")
+        tol = _number(s.get("tol", 1e-9), "solver: tol")
+        max_iter = _integer(s.get("max_iter", 20000), "solver: max_iter")
+        U_max = _number(s.get("U_max", 1e6), "solver: U_max")
+    if command == "solve":
+        if "lambda" not in s:
+            raise ConfigError("solver: solve command needs solver.lambda")
+        general = s.get("general", False)
+        if not isinstance(general, bool):
+            raise ConfigError("solver: general must be true or false")
+        opts = SolveOptions(tol=tol, max_iter=max_iter, U_max=U_max)
+        return opts, _number(s["lambda"], "solver: lambda"), general
+    if command == "eigen":
+        e = _section(cfg, "eigen")
+
+        def optional(key):
+            return _number(e[key], f"eigen: {key}") if key in e else None
+
+        sign = e.get("sign", "up")
+        if sign not in ("up", "down", "both"):
+            raise ConfigError(f"eigen: sign must be up/down/both, got {sign!r}")
+        opts = _checked(
+            "eigen",
+            EigenOptions,
+            bracket_width=optional("bracket_width"),
+            g_scale=_number(e.get("g_scale", 1.0), "eigen: g_scale"),
+            eig_residual_tol=optional("eig_residual_tol"),
+            tol=tol,
+            max_outer=_integer(e.get("max_outer", 400_000), "eigen: max_outer"),
+            inner_max_iter=max_iter,
+            U_max=U_max,
+        )
+        return opts, sign
+    if command == "check-operator":
+        samples = _integer(_section(cfg, "check").get("samples", 10000), "check: samples")
+        if samples < 1:
+            raise ConfigError(f"check: samples must be >= 1, got {samples}")
+        return samples
+    return None
 
 
-def _eigen_options(cfg: dict) -> EigenOptions:
-    s = cfg.get("solver", {})
-    e = cfg.get("eigen", {})
-    return EigenOptions(
-        bracket_width=(
-            float(e["bracket_width"]) if "bracket_width" in e else None
-        ),
-        g_scale=float(e.get("g_scale", 1.0)),
-        eig_residual_tol=(
-            float(e["eig_residual_tol"]) if "eig_residual_tol" in e else None
-        ),
-        tol=float(s.get("tol", 1e-9)),
-        max_outer=_integer(e.get("max_outer", 400_000), "max_outer"),
-        inner_max_iter=_integer(s.get("max_iter", 20000), "max_iter"),
-        U_max=float(s.get("U_max", 1e6)),
-    )
+def _parse_leaf(cfg: dict, base_dir: Path):
+    """Every input of a non-sweep run: (grid, operator, certify params,
+    CoefficientField, options).  Validation and execution both parse here.
 
-
-def _check_samples(cfg: dict) -> int:
-    samples = _integer(cfg.get("check", {}).get("samples", 10000), "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    return samples
+    A malformed field raises ``ConfigError``.  Infeasible certify
+    magnitudes are the run's verdict: ``InfeasibleParams`` is raised after
+    every config check, and only when the run reads the params (the
+    certify command or a ``band`` profile)."""
+    command = cfg["command"]
+    grid = _parse_grid(_require(cfg, "grid", "config"))
+    op = _parse_operator(_require(cfg, "operator", "config"), base_dir)
+    _checked("operator", op.validate_profiles, grid.nodes)
+    options = _parse_options(cfg)
+    coeffs = _section(cfg, "coefficients")
+    specs = {key: coeffs.get(key, 0.0) for key in ("b", "c", "g")}
+    if command == "certify":
+        specs["c"] = coeffs.get("c", "band")
+    band = [key for key, spec in specs.items() if spec == "band"]
+    certify_given = "certify" in cfg or command == "certify"
+    if band and not certify_given:
+        raise ConfigError(
+            f"coefficients.{band[0]}: 'band' profile needs a certify section to build from"
+        )
+    profiles = {
+        key: _parse_profile(spec, base_dir, f"coefficients.{key}")
+        for key, spec in specs.items()
+        if key not in band
+    }
+    params = None
+    if certify_given:
+        try:
+            params = _parse_certify_params(cfg.get("certify"), grid, op)
+        except InfeasibleParams:
+            if band or command == "certify":
+                raise
+    profiles.update({key: default_c_band(params) for key in band})
+    return grid, op, params, CoefficientField(**profiles), options
 
 
 def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
@@ -298,6 +353,7 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
     if cfg["seed"] < 0:
         raise ConfigError(f"config: seed must be >= 0, got {cfg['seed']}")
     cfg["_base_dir"] = str(base_dir)
+    leaves = [cfg]
     if command == "sweep":
         sw = _require(cfg, "sweep", "config")
         if not isinstance(sw, dict):
@@ -319,67 +375,13 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
             if not isinstance(values, list) or not values:
                 raise ConfigError("sweep: each parameter needs a non-empty values list")
         _integer(sw.get("workers", 0), "sweep: workers")
-        for overrides in _sweep_tuples(cfg):
-            _validate_leaf(_sweep_leaf(cfg, overrides), base_dir)
-    else:
-        _validate_leaf(cfg, base_dir)
-    return cfg
-
-
-def _validate_leaf(cfg: dict, base_dir: Path) -> None:
-    command = cfg.get("command")
-    grid = _parse_grid(_require(cfg, "grid", "config"))
-    op = _parse_operator(_require(cfg, "operator", "config"))
-    try:
-        op.validate_profiles(grid.nodes)
-    except ValueError as e:
-        raise ConfigError(f"operator: {e}") from None
-    band_available = "certify" in cfg or command == "certify"
-    if band_available:
+        leaves = [_sweep_leaf(cfg, overrides) for overrides in _sweep_tuples(cfg)]
+    for leaf in leaves:
         try:
-            _parse_certify_params(cfg, grid, op)
+            _parse_leaf(leaf, base_dir)
         except InfeasibleParams:
             pass  # infeasible band magnitudes are the run's verdict, not a config error
-    coeffs = cfg.get("coefficients", {})
-    if not isinstance(coeffs, dict):
-        raise ConfigError("coefficients: section must be an object")
-    for key in ("b", "c", "g"):
-        if key in coeffs:
-            spec = coeffs[key]
-            if spec == "band":
-                if not band_available:
-                    raise ConfigError(
-                        f"coefficients.{key}: 'band' profile needs a certify "
-                        f"section to build from"
-                    )
-                continue
-            _parse_profile(spec, base_dir, None, where=f"coefficients.{key}")
-    try:
-        if command == "solve":
-            _solver_options(cfg)
-            float(cfg.get("solver", {}).get("lambda", 0.0))
-        elif command == "eigen":
-            _eigen_options(cfg)
-            sign = cfg.get("eigen", {}).get("sign", "up")
-            if sign not in ("up", "down", "both"):
-                raise ValueError(f"sign must be up/down/both, got {sign!r}")
-        elif command == "check-operator":
-            _check_samples(cfg)
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"{command}: {e}") from None
-    if command == "solve" and "lambda" not in cfg.get("solver", {}):
-        raise ConfigError("solver: solve command needs solver.lambda")
-    if command == "solve" and not isinstance(cfg["solver"].get("general", False), bool):
-        raise ConfigError("solver: general must be true or false")
-
-
-def _coefficients(cfg: dict, base_dir: Path, band_params=None) -> CoefficientField:
-    coeffs = cfg.get("coefficients", {})
-    return CoefficientField(
-        b=_parse_profile(coeffs.get("b", 0.0), base_dir, band_params, "coefficients.b"),
-        c=_parse_profile(coeffs.get("c", 0.0), base_dir, band_params, "coefficients.c"),
-        g=_parse_profile(coeffs.get("g", 0.0), base_dir, band_params, "coefficients.g"),
-    )
+    return cfg
 
 
 def _set_path(d: dict, path: str, value) -> None:
@@ -397,19 +399,13 @@ def _set_path(d: dict, path: str, value) -> None:
 def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
     """Run one non-sweep command; write artifacts if out_dir is given."""
     command = cfg["command"]
-    base_dir = Path(cfg.get("_base_dir", "."))
+    grid, op, params, coeff, options = _parse_leaf(cfg, Path(cfg.get("_base_dir", ".")))
     public_cfg = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
     if command == "solve":
-        grid = _parse_grid(cfg["grid"])
-        op = _parse_operator(cfg["operator"])
-        coeff = _coefficients(cfg, base_dir)
-        opts = _solver_options(cfg)
-        lam = float(cfg["solver"]["lambda"])
-        if cfg.get("solver", {}).get("general", False):
-            report = solve_general(op, coeff, lam, None, grid, opts)
-        else:
-            report = solve_neumann(op, coeff, lam, None, grid, opts)
+        opts, lam, general = options
+        solve = solve_general if general else solve_neumann
+        report = solve(op, coeff, lam, None, grid, opts)
         summary = report.summary()
         summary["barrier_bound"] = report.barrier_bound
         summary["sandwich_ok"] = report.sandwich_ok
@@ -426,42 +422,24 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
         return (0 if report.converged else 2), summary
 
     if command == "eigen":
-        grid = _parse_grid(cfg["grid"])
-        op = _parse_operator(cfg["operator"])
-        band_params = None
-        if "certify" in cfg:
-            band_params = _parse_certify_params(cfg, grid, op)
-        coeff = _coefficients(cfg, base_dir, band_params)
-        opts = _eigen_options(cfg)
-        sign = cfg.get("eigen", {}).get("sign", "up")
+        opts, sign = options
         payload = {"config": public_cfg}
         summary = {}
-        if sign in ("up", "both"):
-            est = lambda_up(op, coeff, grid, opts)
-            payload["up"] = est.summary()
-            summary.update({f"up_{k}": v for k, v in est.summary().items()})
+        for side, estimate in (("up", lambda_up), ("down", lambda_down)):
+            if sign not in (side, "both"):
+                continue
+            est = estimate(op, coeff, grid, opts)
+            payload[side] = est.summary()
+            summary.update({f"{side}_{k}": v for k, v in payload[side].items()})
             if out_dir is not None:
-                est.eigenfunction.to_csv(out_dir / "eigenfunction_up.csv")
-        if sign in ("down", "both"):
-            est = lambda_down(op, coeff, grid, opts)
-            payload["down"] = est.summary()
-            summary.update({f"down_{k}": v for k, v in est.summary().items()})
-            if out_dir is not None:
-                est.eigenfunction.to_csv(out_dir / "eigenfunction_down.csv")
+                est.eigenfunction.to_csv(out_dir / f"eigenfunction_{side}.csv")
         if out_dir is not None:
             _write_json(out_dir / "eigen.json", payload)
         return 0, summary
 
     if command == "certify":
-        grid = _parse_grid(cfg["grid"])
-        op = _parse_operator(cfg["operator"])
-        params = _parse_certify_params(cfg, grid, op)
         v = build_supersolution(params)
-        coeffs = cfg.get("coefficients", {})
-        c_profile = _parse_profile(
-            coeffs.get("c", "band"), base_dir, params, "coefficients.c"
-        )
-        cert = verify(params, v, c_profile, grid)
+        cert = verify(params, v, coeff.c, grid)
         if out_dir is not None:
             _write_json(
                 out_dir / "certificate.json",
@@ -470,10 +448,7 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
         return (0 if cert.accepted else 2), cert.summary()
 
     if command == "check-operator":
-        grid = _parse_grid(cfg["grid"])
-        op = _parse_operator(cfg["operator"])
-        samples = _check_samples(cfg)
-        seed = cfg["seed"]
+        samples, seed = options, cfg["seed"]
         hom = check_homogeneity(op, samples, N_dim=grid.N_dim, seed=seed)
         ell = check_ellipticity(op, samples, N_dim=grid.N_dim, seed=seed + 1)
         ok = hom.passed and ell.passed
@@ -528,7 +503,7 @@ def _run_sweep(cfg: dict, out_dir: Path) -> int:
     sw = cfg["sweep"]
     paths = [p["path"] for p in sw["parameters"]]
     tuples = _sweep_tuples(cfg)
-    workers = int(sw.get("workers", 0)) or (os.cpu_count() or 1)
+    workers = _integer(sw.get("workers", 0), "sweep: workers") or (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tuples)))
 
     if workers == 1:

@@ -136,6 +136,12 @@ def _sweep(base=BASE_SOLVE, parameter=None, workers=1):
     }
 
 
+MALFORMED_TABLES = {
+    "radii-unsorted.csv": "r,c\n0.0,-1.0\n1.0,-1.0\n0.5,-1.0\n",
+    "cell-abc.csv": "r,c\n0.0,-1.0\n1.0,abc\n",
+}
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -193,6 +199,10 @@ def _sweep(base=BASE_SOLVE, parameter=None, workers=1):
         _with(BASE_EIGEN, "eigen.max_outer", 2.5),
         _with(BASE_CHECK, "check.samples", 2.5),
         dict(BASE_SOLVE, seed=1.5),
+        _with(BASE_SOLVE, "solver.lambda", float("nan")),
+        _with(BASE_SOLVE, "solver.tol", float("nan")),
+        _with(BASE_SOLVE, "coefficients.c", "table:radii-unsorted.csv"),
+        _with(BASE_SOLVE, "coefficients.c", "table:cell-abc.csv"),
     ],
     ids=[
         "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
@@ -203,10 +213,13 @@ def _sweep(base=BASE_SOLVE, parameter=None, workers=1):
         "sweep-base-scalar", "sweep-parameter-scalar", "sweep-path-number",
         "sweep-path-through-scalar", "grid-n-fraction", "N_dim-fraction",
         "max_iter-fraction", "max_outer-fraction", "samples-fraction",
-        "seed-fraction",
+        "seed-fraction", "lambda-nan", "tol-nan", "table-radii-unsorted",
+        "table-cell-abc",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
+    for name, text in MALFORMED_TABLES.items():
+        (tmp_path / name).write_text(text)
     code, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == 3
@@ -385,11 +398,96 @@ def test_table_profile_resolution(tmp_path):
     assert report["converged"] is True
 
 
+def test_operator_table_is_relative_to_the_config_file(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "b1.csv").write_text("r,b1\n0.0,1.2\n1.0,1.8\n")
+    cfg = dict(
+        BASE_SOLVE,
+        operator={"kind": "anisotropic", "a": 1.0, "A": 2.0, "q": 2.0, "b1": "table:b1.csv"},
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(cfg_dir, cfg)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["converged"] is True
+
+
 def test_band_profile_requires_certify_section(tmp_path):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["coefficients"]["c"] = "band"
     code, _ = run_cli(tmp_path, cfg)
     assert code == 3
+
+
+# the band profile is positive near r = 0, so c + lambda < 0 fails there
+SOLVE_BAND = dict(
+    BASE_SOLVE,
+    coefficients={"c": "band", "g": "const:-1"},
+    certify=BASE_CERTIFY["certify"],
+)
+
+
+def test_solve_with_band_profile_exits_2_with_diagnostics(tmp_path):
+    code, out = run_cli(tmp_path, SOLVE_BAND)
+    assert code == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error_type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "base, parameter, statuses",
+    [
+        (
+            _with(BASE_CERTIFY, "grid.n", 2001),
+            {"path": "certify.beta2_fraction", "values": [0.5, 1.5]},
+            ["ok", "error"],
+        ),
+        (SOLVE_BAND, {"path": "grid.n", "values": [101]}, ["error"]),
+    ],
+    ids=["certify-infeasible", "solve-band"],
+)
+def test_sweep_row_of_a_failed_run_reads_error(tmp_path, base, parameter, statuses):
+    code, out = run_cli(tmp_path, _sweep(base=base, parameter=parameter))
+    assert code == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    status = lines[0].split(",").index("status")
+    assert [line.split(",")[status] for line in lines[1:]] == statuses
+
+
+@pytest.mark.parametrize(
+    "coefficients, code, artifact",
+    [
+        ({"c": "const:-1"}, 0, "eigen.json"),
+        ({"c": "band"}, 2, "certificate.json"),
+    ],
+    ids=["section-unread", "band"],
+)
+def test_infeasible_certify_section_is_a_verdict_only_where_read(
+    tmp_path, coefficients, code, artifact
+):
+    cfg = dict(
+        BASE_EIGEN,
+        coefficients=coefficients,
+        certify=dict(BASE_CERTIFY["certify"], beta2_fraction=1.5),
+    )
+    got, out = run_cli(tmp_path, cfg)
+    assert got == code
+    assert (out / artifact).exists()
+
+
+def test_eigen_inner_solve_failure_exits_2_with_diagnostics(tmp_path):
+    cfg = dict(
+        BASE_EIGEN,
+        operator={"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.5},
+        coefficients={"c": "poly:-1,0,-1"},
+        grid={"R": 1.0, "N_dim": 2, "n": 101},
+        solver={"max_iter": 1},
+        eigen={"bracket_width": 0.05},
+    )
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error_type"] == "InnerSolveError"
 
 
 def test_solve_general_flag(tmp_path):

@@ -291,6 +291,18 @@ def test_non_convergence_is_reported_not_hidden():
     assert rep.residual_sup > 1e-16
 
 
+def test_alpha_solve_stops_at_an_iterate_beyond_U_max():
+    # the alpha = 0.5 start iterate, from c |u|^alpha u = g, has sup 0.91
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5)
+    g = eb.build_grid(1.0, 2, 101)
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
+    )
+    rep = eb.solve_neumann(op, coeff, 0.0, None, g, eb.SolveOptions(U_max=0.5))
+    assert rep.bound_violation and not rep.converged
+    assert rep.iterations == 0
+
+
 # ---------------------------- monotone_iteration -----------------------------
 
 
