@@ -341,7 +341,9 @@ def _parse_leaf(cfg: dict, base_dir: Path):
     return grid, op, params, CoefficientField(**profiles), options
 
 
-def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
+def resolve_config(raw: dict, *, seed_override=None, base_dir: Path):
+    """The resolved config and its parsed leaf: None for a sweep, else the
+    parse or the ``InfeasibleParams`` that is the run's verdict."""
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     cfg = copy.deepcopy(raw)
@@ -352,7 +354,6 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
     cfg["seed"] = _integer(seed, "config: seed")
     if cfg["seed"] < 0:
         raise ConfigError(f"config: seed must be >= 0, got {cfg['seed']}")
-    cfg["_base_dir"] = str(base_dir)
     leaves = [cfg]
     if command == "sweep":
         sw = _require(cfg, "sweep", "config")
@@ -378,10 +379,10 @@ def resolve_config(raw: dict, *, seed_override=None, base_dir: Path) -> dict:
         leaves = [_sweep_leaf(cfg, overrides) for overrides in _sweep_tuples(cfg)]
     for leaf in leaves:
         try:
-            _parse_leaf(leaf, base_dir)
-        except InfeasibleParams:
-            pass  # infeasible band magnitudes are the run's verdict, not a config error
-    return cfg
+            parsed = _parse_leaf(leaf, base_dir)
+        except InfeasibleParams as e:
+            parsed = e
+    return cfg, None if command == "sweep" else parsed
 
 
 def _set_path(d: dict, path: str, value) -> None:
@@ -396,10 +397,10 @@ def _set_path(d: dict, path: str, value) -> None:
 # ------------------------------- execution ----------------------------------
 
 
-def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
-    """Run one non-sweep command; write artifacts if out_dir is given."""
+def _execute(cfg: dict, leaf, out_dir) -> tuple[int, dict]:
+    """Run one parsed non-sweep leaf; write artifacts if out_dir is given."""
     command = cfg["command"]
-    grid, op, params, coeff, options = _parse_leaf(cfg, Path(cfg.get("_base_dir", ".")))
+    grid, op, params, coeff, options = leaf
     public_cfg = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
     if command == "solve":
@@ -469,8 +470,6 @@ def _execute(cfg: dict, out_dir) -> tuple[int, dict]:
             "ellipticity_failures": len(ell.failures),
         }
 
-    raise ConfigError(f"config: unknown command {command!r}")
-
 
 def _sweep_leaf(cfg: dict, overrides) -> dict:
     """The config of one sweep point: the base with its overrides applied."""
@@ -478,14 +477,15 @@ def _sweep_leaf(cfg: dict, overrides) -> dict:
     for path, value in overrides:
         _set_path(leaf, path, value)
     leaf["seed"] = cfg["seed"]
-    leaf["_base_dir"] = cfg.get("_base_dir", ".")
     return leaf
 
 
 def _sweep_worker(args):
-    cfg, overrides = args
+    cfg, base_dir, overrides = args
+    leaf = _sweep_leaf(cfg, overrides)
     try:
-        code, summary = _execute(_sweep_leaf(cfg, overrides), None)
+        # parsed here: parsed profiles are closures, which do not cross the process pool
+        code, summary = _execute(leaf, _parse_leaf(leaf, base_dir), None)
         status = "ok" if code == 0 else "reject"
     except _COMPUTE_ERRORS as e:
         status, summary = "error", {"error": str(e)}
@@ -499,7 +499,7 @@ def _sweep_tuples(cfg: dict) -> list:
     return [[(p["path"], v) for p, v in zip(params, combo)] for combo in combos]
 
 
-def _run_sweep(cfg: dict, out_dir: Path) -> int:
+def _run_sweep(cfg: dict, out_dir: Path, base_dir: Path) -> int:
     sw = cfg["sweep"]
     paths = [p["path"] for p in sw["parameters"]]
     tuples = _sweep_tuples(cfg)
@@ -507,12 +507,12 @@ def _run_sweep(cfg: dict, out_dir: Path) -> int:
     workers = max(1, min(workers, len(tuples)))
 
     if workers == 1:
-        results = [_sweep_worker((cfg, t)) for t in tuples]
+        results = [_sweep_worker((cfg, base_dir, t)) for t in tuples]
     else:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, [(cfg, t) for t in tuples]))
+            results = list(pool.map(_sweep_worker, [(cfg, base_dir, t) for t in tuples]))
 
     keys = sorted({k for _, summary in results for k in summary})
     header = paths + ["status"] + keys
@@ -528,7 +528,7 @@ def run(config: dict, out_dir, seed=None, config_dir=None) -> int:
     """Programmatic entry point; returns the process exit code."""
     base_dir = Path(config_dir) if config_dir is not None else Path(".")
     try:
-        cfg = resolve_config(config, seed_override=seed, base_dir=base_dir)
+        cfg, leaf = resolve_config(config, seed_override=seed, base_dir=base_dir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -536,8 +536,10 @@ def run(config: dict, out_dir, seed=None, config_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg["command"] == "sweep":
-            return _run_sweep(cfg, out)
-        code, _ = _execute(cfg, out)
+            return _run_sweep(cfg, out, base_dir)
+        if isinstance(leaf, InfeasibleParams):
+            raise leaf
+        code, _ = _execute(cfg, leaf, out)
         return code
     except _COMPUTE_ERRORS as e:
         public_cfg = {k: v for k, v in cfg.items() if not k.startswith("_")}

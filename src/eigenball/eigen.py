@@ -4,7 +4,7 @@ The upper principal eigenvalue is the supremum of shifts lambda admitting a
 positive bounded supersolution of G + lambda v^{alpha+1} <= 0 under the
 Neumann condition; below it the maximum principle holds, at and above it the
 monotone iteration with negative data becomes unbounded.  That dichotomy is
-what the bisection probes.  The mirrored eigenvalue (negative
+what a probe decides.  The mirrored eigenvalue (negative
 eigenfunctions) is the upper one of the reflected operator -F(-p, -X).
 
 For alpha = 0 with a monotone stencil (nonnegative off-diagonals under every
@@ -17,12 +17,12 @@ lambda < min rho, which bounds the monotone iterates, and a strict
 subsolution for every lambda > max rho, which rules out a bounded limit of
 the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
-iteration, one shifted inverse-iteration solve per round.  A probe within a
-rounding guard of that bracket, every probe for alpha != 0, and every probe
-of a stencil that drift makes non-monotone is classified by running
-``monotone_iteration`` with g = -1 (g = +1, decreasing iterates, for the
-mirrored eigenvalue) and watching whether the iterates settle or blow past
-the threshold.
+iteration, one shifted inverse-iteration solve per round, and the bracket
+returned is centred on the midpoint of [min rho, max rho].  Only without it
+(alpha != 0, or a stencil that drift makes non-monotone) does a
+golden-split bisection run; its probes, and any probe within a rounding
+guard of the bracket, run ``monotone_iteration`` with g = -1 (g = +1 for
+the mirrored eigenvalue) and watch whether the iterates settle or blow up.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
 supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
@@ -147,18 +147,19 @@ class EigenOptions:
 
 @dataclass
 class EigenEstimate:
-    """Bisection bracket plus the normalized eigenfunction.
+    """Certified bracket plus the normalized eigenfunction.
 
     ``lambda_lo`` is certified convergent and ``lambda_hi`` certified
     blow-up.  ``probes`` holds one ``(lambda, verdict, how)`` per probe:
-    ``how`` is ``"monotone"`` for a direct monotone-iteration run, which can
-    be replayed, and ``"cw"`` for a verdict read off the Collatz-Wielandt
-    bracket ``cw_bracket`` = (min rho, max rho) of a positive eigenvector
-    phi (see the module docstring).  ``cw_bracket`` is ``None`` when that
-    bracket was not used (alpha != 0 or a stencil that drift makes
-    non-monotone); the eigenfunction is then the normalized final iterate
-    at ``lambda_lo``, otherwise phi.  It has sup-norm exactly 1 and a
-    strict sign.
+    ``how`` is ``"monotone"`` for a replayable monotone-iteration run and
+    ``"cw"`` for a verdict read off the Collatz-Wielandt bracket
+    ``cw_bracket`` = (min rho, max rho) of a positive eigenvector phi.  With
+    it the eigenfunction is phi and the bracket is centred on its midpoint,
+    half-width max(w/2, (max rho - min rho)/2 + 2 guard) for the resolved
+    ``bracket_width`` w, so wider than w only for a large rounding guard.
+    ``cw_bracket`` is ``None`` for alpha != 0 or a stencil that drift makes
+    non-monotone; bisection then gives the bracket, and the eigenfunction is
+    the final iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
     """
 
     lambda_lo: float
@@ -303,12 +304,8 @@ def _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts):
     if sup == 0.0:
         raise BracketError("degenerate eigenfunction candidate (identically zero)")
     phi = GridFunction(grid, values / sup)
-    if direction == "up":
-        if phi.min() <= 0:
-            raise BracketError("eigenfunction lost strict positivity")
-    else:
-        if phi.max() >= 0:
-            raise BracketError("eigenfunction lost strict negativity")
+    if (phi.min() if direction == "up" else -phi.max()) <= 0:
+        raise BracketError(f"eigenfunction lost its strict sign ({direction})")
     res_sup = residual(op, coeff, lam_mid, 0.0, phi).sup_norm()
     res_tol = opts.resolved_residual_tol(width)
     if res_sup > res_tol:
@@ -316,15 +313,17 @@ def _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts):
     return phi, res_sup
 
 
-def _bisect(op, coeff, grid, opts, direction: str):
-    sign = "positive" if direction == "up" else "negative"
-    c_vals = sample_profile(coeff.c, grid.nodes)
-    c_inf = float(np.max(np.abs(c_vals)))
-    width = opts.resolved_width(c_inf)
-    g_const = -opts.g_scale if direction == "up" else opts.g_scale
-    g_vals = np.full(grid.n, float(g_const))
-    ws = SolveWorkspace()
+def _probe_setup(op, coeff, grid, opts, direction):
+    """|c|_inf, bracket width, probe data and CW bracket of one eigenvalue."""
+    c_inf = float(np.max(np.abs(sample_profile(coeff.c, grid.nodes))))
+    g_vals = np.full(grid.n, float(-opts.g_scale if direction == "up" else opts.g_scale))
     cw = _collatz_wielandt(op, coeff, grid, direction)
+    return c_inf, opts.resolved_width(c_inf), g_vals, cw
+
+
+def _bisect(op, coeff, grid, opts, direction: str):
+    c_inf, width, g_vals, cw = _probe_setup(op, coeff, grid, opts, direction)
+    ws = SolveWorkspace()
     probes = []
 
     def probe(lam):
@@ -349,25 +348,32 @@ def _bisect(op, coeff, grid, opts, direction: str):
             f"is bounded by |c|_inf, so this is a configuration error"
         )
 
-    while hi - lo > width:
-        mid = lo + _SPLIT * (hi - lo)
-        verdict, rep = probe(mid)
-        if verdict is Verdict.CONVERGED:
-            lo, rep_lo = mid, rep
-        else:
-            hi = mid
-
     if cw is None:
+        while hi - lo > width:
+            mid = lo + _SPLIT * (hi - lo)
+            verdict, rep = probe(mid)
+            if verdict is Verdict.CONVERGED:
+                lo, rep_lo = mid, rep
+            else:
+                hi = mid
+        lam_mid = 0.5 * (lo + hi)
         values = rep_lo.final.values
     else:
+        # centred on the CW midpoint; both ends clear the guard band by one
+        # guard, so each reads off the bracket with a certified verdict
+        lam_mid = 0.5 * (cw.lo + cw.hi)
+        half = max(0.5 * width, 0.5 * (cw.hi - cw.lo) + 2.0 * cw.guard)
+        lo, hi = lam_mid - half, lam_mid + half
+        probe(lo)
+        probe(hi)
         values = cw.phi if direction == "up" else -cw.phi
-    phi, res_sup = _eigenfunction(op, coeff, grid, values, direction, 0.5 * (lo + hi), width, opts)
+    phi, res_sup = _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts)
     return EigenEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
         eigenfunction=phi,
         residual_sup=res_sup,
-        sign=sign,
+        sign="positive" if direction == "up" else "negative",
         probes=probes,
         cw_bracket=None if cw is None else (cw.lo, cw.hi),
     )
@@ -381,18 +387,16 @@ def lambda_up(
 ) -> EigenEstimate:
     """Bracket the upper principal eigenvalue (positive eigenfunction).
 
-    Bisection on [-|c|_inf - 1, |c|_inf + 1], whose two ends must read
-    convergent and unbounded.  For alpha = 0 with a monotone stencil, each
-    trial shift, the two ends included, outside the Collatz-Wielandt bracket
-    [min rho, max rho] of the positive eigenvector phi (widened by a
-    rounding guard) is decided from that bracket: phi is a strict
-    supersolution below it and a subsolution above it, because Pucci- is
-    the row-wise minimum and Pucci+ the maximum over policies of M-matrices.
-    Any other trial shift is classified by whether the monotone iteration
-    with g = -1 stays bounded, so without the bracket the two ends are
-    monotone-iteration runs.  The returned eigenfunction is phi, or without
-    the bracket the final iterate at the certified lower end, normalized;
-    ``residual_sup`` is its eigen-equation residual at the bracket midpoint.
+    The ends of [-|c|_inf - 1, |c|_inf + 1] must read convergent and
+    unbounded.  For alpha = 0 with a monotone stencil the bracket returned
+    is centred on the midpoint of the Collatz-Wielandt bracket
+    [min rho, max rho] of the positive eigenvector phi (module docstring),
+    of width ``bracket_width`` unless the rounding guard needs more, and
+    the eigenfunction is phi.  Otherwise a golden-split bisection
+    classifies each shift by whether the monotone iteration with g = -1
+    stays bounded, and the eigenfunction is the final iterate at the
+    certified lower end, normalized.  ``residual_sup`` is its
+    eigen-equation residual at the bracket midpoint.
     """
     return _bisect(op, coeff, grid, opts or EigenOptions(), "up")
 
@@ -432,11 +436,7 @@ def eigenfunction_up(
     silently accepted.
     """
     opts = opts or EigenOptions()
-    c_vals = sample_profile(coeff.c, grid.nodes)
-    c_inf = float(np.max(np.abs(c_vals)))
-    width = opts.resolved_width(c_inf)
-    g_vals = np.full(grid.n, -opts.g_scale)
-    cw = _collatz_wielandt(op, coeff, grid, "up")
+    _, width, g_vals, cw = _probe_setup(op, coeff, grid, opts, "up")
     verdict, rep, _ = _classify(
         op, coeff, lambda_bar_est, g_vals, grid, opts, SolveWorkspace(), "up", cw
     )

@@ -356,9 +356,6 @@ class EllipticOperator:
             "quotients": quotients,
         }
 
-    def is_odd(self) -> bool:
-        return self.kind in (P_LAPLACIAN, ANISOTROPIC) or self.a == self.A
-
 
 @dataclass(frozen=True)
 class CoefficientField:

@@ -490,6 +490,23 @@ def test_eigen_inner_solve_failure_exits_2_with_diagnostics(tmp_path):
     assert failure["error_type"] == "InnerSolveError"
 
 
+def test_eigen_ambiguous_probe_exits_2_with_diagnostics(tmp_path):
+    # one outer step cannot tell whether the p = 3 iteration at the lower
+    # envelope end settles or blows up
+    cfg = dict(
+        BASE_EIGEN,
+        operator={"kind": "p_laplacian", "p": 3.0},
+        coefficients={"c": "const:-1"},
+        grid={"R": 1.0, "N_dim": 2, "n": 51},
+        eigen={"max_outer": 1, "bracket_width": 0.1},
+    )
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error_type"] == "BracketError"
+    assert "ambiguous" in failure["error"]
+
+
 def test_solve_general_flag(tmp_path):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["coefficients"]["g"] = "poly:-0.2,1.5"  # sign-changing data
@@ -515,6 +532,31 @@ def test_eigen_with_band_coefficient(tmp_path):
     assert code == 0
     payload = json.loads((out / "eigen.json").read_text())
     assert payload["up"]["lambda_lo"] > 0.0  # positive despite sign-changing c
+
+
+def test_run_parses_its_leaf_once(tmp_path, monkeypatch):
+    # the leaf that validation parsed is the one the run executes, so the
+    # band profile is built once
+    from eigenball import cli
+
+    calls = {"_parse_leaf": 0, "default_c_band": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = {
+        "command": "eigen",
+        "operator": {"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.0},
+        "coefficients": {"c": "band"},
+        "certify": {"rho": 0.25, "k": 4.0, "beta1": 10.0, "beta2_fraction": 0.5},
+        "grid": {"R": 1.0, "N_dim": 2, "n": 51},
+        "eigen": {"sign": "up", "bracket_width": 0.1},
+    }
+    assert cli.run(cfg, tmp_path / "out") == 0
+    assert calls == {"_parse_leaf": 1, "default_c_band": 1}
 
 
 def test_seed_override_recorded(tmp_path):

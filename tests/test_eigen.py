@@ -101,7 +101,9 @@ def test_eigenfunction_up_rejects_divergent_shift():
 
 
 def test_eigen_residual_tolerance_reported():
-    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
+    # c = -1 has the exact eigenpair (1, 1), residual 0 at the CW midpoint;
+    # c = -1 - r^2 leaves a rounding-level residual
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: -1.0 - r**2, g=0.0)
     with pytest.raises(eb.EigenResidualError) as exc:
         eb.lambda_up(LAP, coeff, GRID, eb.EigenOptions(eig_residual_tol=1e-15))
     assert exc.value.achieved > 1e-15
@@ -257,9 +259,13 @@ def test_cw_bracket_inside_bisection_bracket(op, c):
     assert est.lambda_lo <= cw_lo <= cw_hi <= est.lambda_hi
     assert cw_hi - cw_lo <= 1e-8
     assert (est.summary()["cw_lo"], est.summary()["cw_hi"]) == (cw_lo, cw_hi)
-    # every probe, the two envelope ends included, is read off the bracket
-    assert [p[2] for p in est.probes[:2]] == ["cw", "cw"]
-    assert {p[2] for p in est.probes[2:]} == {"cw"}
+    # the two envelope ends and the two bracket ends, all read off the
+    # bracket, and a bracket of the default width centred on its midpoint
+    assert [p[2] for p in est.probes] == ["cw"] * 4
+    assert [p[0] for p in est.probes[2:]] == [est.lambda_lo, est.lambda_hi]
+    assert est.midpoint == pytest.approx(0.5 * (cw_lo + cw_hi), abs=1e-12)
+    c_inf = est.probes[1][0] - 1.0  # the upper envelope end is |c|_inf + 1
+    assert est.width == pytest.approx(1e-3 * (1.0 + c_inf), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -334,8 +340,11 @@ def test_envelope_end_in_cw_guard_band_runs_monotone_iteration(monkeypatch):
     est = bracket(LAP, -1.0)
     assert est.probes[0] == (-2.0, "converged", "cw")
     assert est.probes[1] == (2.0, "unbounded", "monotone")
-    assert est.lambda_lo < 1.0 < est.lambda_hi
-    assert est.width <= 1e-3 * 2.0
+    # the bracket centred on the CW midpoint widens past that guard band, so
+    # both of its ends still read off the bracket
+    assert est.lambda_lo < 1.0 - 1.5 and est.lambda_hi > 1.0 + 1.5
+    assert est.probes[2:] == [(est.lambda_lo, "converged", "cw"),
+                              (est.lambda_hi, "unbounded", "cw")]
     # a bracket that places the upper end below the threshold fails the check
     monkeypatch.setattr(eigen, "_collatz_wielandt",
                         lambda *a: replace(original(*a), lo=5.0, hi=5.0))

@@ -303,6 +303,20 @@ def test_alpha_solve_stops_at_an_iterate_beyond_U_max():
     assert rep.iterations == 0
 
 
+def test_backtracking_down_to_rounding_ends_the_solve():
+    # every point along a rejected Newton step, halved until it is below the
+    # rounding scale of the iterate, raises the merit while the residual is
+    # far above its floor: the solve stops there, well within its budget
+    op = eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5)
+    grid = eb.build_grid(1.0, 2, 101)
+    coeff = eb.CoefficientField(b=0.0, c=-1e-6, g=lambda r: np.sin(6.0 * r) - 0.1)
+    rep = eb.solve_neumann(op, coeff, 0.0, None, grid, eb.SolveOptions(max_iter=2000))
+    assert not rep.converged and not rep.bound_violation
+    assert rep.rejected > 50
+    assert rep.iterations < 100
+    assert rep.residual_sup > 100.0 * rep.residual_floor
+
+
 # ---------------------------- monotone_iteration -----------------------------
 
 
