@@ -7,9 +7,10 @@ monotone iteration with negative data becomes unbounded.  That dichotomy is
 what a probe decides.  The mirrored eigenvalue (negative
 eigenfunctions) is the upper one of the reflected operator -F(-p, -X).
 
-For alpha = 0 with a monotone stencil (nonnegative off-diagonals under every
-row-wise policy, which the flux form has unless drift breaks them) a probe
-is decided from one positive grid function phi.  The discrete Pucci-
+For alpha = 0 the stencil is monotone (nonnegative off-diagonals under
+every row-wise policy, which the flux form keeps with the one-sided rows
+near the axis and the upwind drift rows of ``solver``), and a probe is
+decided from one positive grid function phi.  The discrete Pucci-
 operator is the row-wise minimum, and Pucci+ the maximum, of linear policy
 operators whose negatives are M-matrices.  So with
 rho_i = -G(phi)_i / phi_i, phi is a strict supersolution for every
@@ -19,10 +20,10 @@ the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
 iteration, one shifted inverse-iteration solve per round, and the bracket
 returned is centred on the midpoint of [min rho, max rho].  Only without it
-(alpha != 0, or a stencil that drift makes non-monotone) does a
-golden-split bisection run; its probes, and any probe within a rounding
-guard of the bracket, run ``monotone_iteration`` with g = -1 (g = +1 for
-the mirrored eigenvalue) and watch whether the iterates settle or blow up.
+(alpha != 0, or Howard rounds that fail) does a golden-split bisection
+run; its probes, and any probe within a rounding guard of the bracket, run
+``monotone_iteration`` with g = -1 (g = +1 for the mirrored eigenvalue)
+and watch whether the iterates settle or blow up.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
 supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
@@ -36,7 +37,6 @@ to the theory, from either source, is a ``BracketError``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -157,9 +157,9 @@ class EigenEstimate:
     it the eigenfunction is phi and the bracket is centred on its midpoint,
     half-width max(w/2, (max rho - min rho)/2 + 2 guard) for the resolved
     ``bracket_width`` w, so wider than w only for a large rounding guard.
-    ``cw_bracket`` is ``None`` for alpha != 0 or a stencil that drift makes
-    non-monotone; bisection then gives the bracket, and the eigenfunction is
-    the final iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
+    ``cw_bracket`` is ``None`` for alpha != 0 or Howard rounds that fail;
+    bisection then gives the bracket, and the eigenfunction is the final
+    iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
     """
 
     lambda_lo: float
@@ -202,26 +202,6 @@ class _CWBracket:
     phi: np.ndarray
 
 
-def _monotone_stencil(driver: _Driver) -> bool:
-    """Whether the bands of every row-wise policy have nonnegative
-    off-diagonals (alpha = 0), the discrete comparison principle the
-    Collatz-Wielandt bracket rests on: P >= 0 >= Q on the interior rows for
-    every pair of radial and tangential weights, with P and Q the
-    coefficients of the fluxes w_{i+1/2} and w_{i-1/2}.  The end rows hold
-    by construction.  Without drift the interior rows hold too, thanks to
-    the one-sided rows near the axis.  The drift adds b/2 to P and Q and
-    can break them, for instance wherever h b > 2 min w_rad."""
-    if driver.sign_weights:
-        pairs = itertools.product(driver.policy, repeat=2)
-    else:
-        pairs = [(driver.w_rad, driver.w_tan)]
-    for w_rad, w_tan in pairs:
-        P, Q = driver._flux_weights(w_rad, w_tan)
-        if P[1:-1].min() < 0.0 or Q[1:-1].max() > 0.0:
-            return False
-    return True
-
-
 def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     """Positive eigenvector of the alpha = 0 operator and its bracket.
 
@@ -230,8 +210,8 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits
     below min rho <= the policy's Perron root, so -L - sigma is a
     nonsingular M-matrix and the step keeps phi positive.  Returns ``None``
-    for alpha != 0, a stencil that drift makes non-monotone, or a step that
-    fails; the mirrored eigenvalue uses the reflected operator.
+    for alpha != 0 or a step that fails; the mirrored eigenvalue uses the
+    reflected operator.
     """
     if op.alpha != 0.0:
         return None
@@ -240,8 +220,6 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     r = grid.nodes
     b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     driver = _Driver(op, grid, b, c)
-    if not _monotone_stencil(driver):
-        return None
     c_inf = float(np.max(np.abs(c)))
     floor = _rounding_floor(op, grid, c_inf)
     phi = np.ones(grid.n)
@@ -388,15 +366,14 @@ def lambda_up(
     """Bracket the upper principal eigenvalue (positive eigenfunction).
 
     The ends of [-|c|_inf - 1, |c|_inf + 1] must read convergent and
-    unbounded.  For alpha = 0 with a monotone stencil the bracket returned
-    is centred on the midpoint of the Collatz-Wielandt bracket
-    [min rho, max rho] of the positive eigenvector phi (module docstring),
-    of width ``bracket_width`` unless the rounding guard needs more, and
-    the eigenfunction is phi.  Otherwise a golden-split bisection
-    classifies each shift by whether the monotone iteration with g = -1
-    stays bounded, and the eigenfunction is the final iterate at the
-    certified lower end, normalized.  ``residual_sup`` is its
-    eigen-equation residual at the bracket midpoint.
+    unbounded.  For alpha = 0 the bracket returned is centred on the
+    midpoint of the Collatz-Wielandt bracket [min rho, max rho] of the
+    positive eigenvector phi (module docstring), of width ``bracket_width``
+    unless the rounding guard needs more, and the eigenfunction is phi.
+    Otherwise a golden-split bisection classifies each shift by whether the
+    monotone iteration with g = -1 stays bounded, and the eigenfunction is
+    the final iterate at the certified lower end, normalized.
+    ``residual_sup`` is its eigen-equation residual at the bracket midpoint.
     """
     return _bisect(op, coeff, grid, opts or EigenOptions(), "up")
 
@@ -428,12 +405,11 @@ def eigenfunction_up(
 
     ``lambda_bar_est`` (the certified lower bracket end) is classified as a
     bisection probe is, and must be convergent.  The eigenfunction is the
-    Collatz-Wielandt eigenvector when alpha = 0 and the stencil is
-    monotone, else the final iterate of the monotone iteration with
-    g = -1 at ``lambda_bar_est``, normalized to sup-norm 1.  Its residual at
-    the bracket midpoint is checked against ``opts.eig_residual_tol``; an
-    excessive residual is reported via ``EigenResidualError`` rather than
-    silently accepted.
+    Collatz-Wielandt eigenvector when alpha = 0, else the final iterate of
+    the monotone iteration with g = -1 at ``lambda_bar_est``, normalized to
+    sup-norm 1.  Its residual at the bracket midpoint is checked against
+    ``opts.eig_residual_tol``; an excessive residual is reported via
+    ``EigenResidualError`` rather than silently accepted.
     """
     opts = opts or EigenOptions()
     _, width, g_vals, cw = _probe_setup(op, coeff, grid, opts, "up")

@@ -19,8 +19,8 @@ norm before 2^-k sup|du| falls to eps (1 + sup|v|), the rounding of v, when
 a step is rejected from an iterate whose residual is at its rounding floor
 (``_floor``), or when LAPACK reports L singular.  ``eigen.solve_general``
 runs the same solve below both principal eigenvalues, where c + lambda may
-change sign but, for alpha = 0 with a monotone stencil, every frozen-policy
--L is still a nonsingular M-matrix.
+change sign but, for alpha = 0, every frozen-policy -L is still a
+nonsingular M-matrix.
 
 The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
@@ -28,8 +28,13 @@ vanishes exactly at r = 0 and r = R, where the solution is only
 C^{1,beta}.  Row i weighs the radial eigenvalue D/(alpha+1), D the flux
 difference over h, and the tangential one M/r_i, M the mean flux (D at
 r = 0, 0 at r = R; w_{i+1/2}/r_{i+1/2} in rows near the axis where M would
-break monotonicity); the drift reads M.  For alpha = 0, w = s and this is
-the central stencil, except in those one-sided rows.
+break monotonicity).  The drift reads M, b/2 on each flux, in the rows
+where that keeps the coefficient of w_{i+1/2} nonnegative and that of
+w_{i-1/2} nonpositive under every policy, and the end rows, where the odd
+ghost flux cancels it; elsewhere it is upwind, b w_{i+1/2} for b > 0 and
+b w_{i-1/2} for b < 0.  So the stencil is monotone for every drift, at
+first order in the upwind rows.  For alpha = 0, w = s and this is the
+central stencil, except in the one-sided and upwind rows.
 
 ``monotone_iteration`` runs the shifted-problem fixed point
 
@@ -312,15 +317,15 @@ class _Driver:
     """Repeated solves of one frozen-coefficient problem with varying data.
 
     Owns the node samples of b and c + lambda, the parts of the bands that
-    do not depend on the iterate (weights, tangential flux coefficients,
-    zero-order factor), and the workspace.  All heavy per-step work
-    (residual, bands, factor) happens here so the iteration layers above
-    stay thin.
+    do not depend on the iterate (weights, tangential and drift flux
+    coefficients, zero-order factor), and the workspace.  All heavy
+    per-step work (residual, bands, factor) happens here so the iteration
+    layers above stay thin.
     """
 
     __slots__ = (
         "op", "grid", "b", "c_eff", "zc", "ws", "alpha", "n", "h", "r", "N",
-        "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "bh",
+        "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "br", "bl",
     )
 
     def __init__(self, op, grid, b, c_eff, ws=None):
@@ -366,7 +371,20 @@ class _Driver:
         rows[[0, -1]] = False
         self.tr[rows] = nm1 / (self.r[rows] + 0.5 * h)
         self.tl[rows] = 0.0
-        self.bh = 0.0 if self.b is None else 0.5 * self.b
+        # the drift of row i is br w_{i+1/2} + bl w_{i-1/2}: centred, b/2
+        # each, where that keeps P >= 0 >= Q under every policy (P is
+        # smallest at the least weights, Q largest at the least radial and
+        # the largest tangential one), upwind elsewhere; the end rows stay
+        # centred, where the odd ghost flux cancels it
+        self.br = self.bl = 0.0
+        if self.b is not None:
+            P, _ = self._flux_weights(w_rad, w_rad if self.sign_weights else w_tan)
+            _, Q = self._flux_weights(w_rad, w_tan)
+            bh = 0.5 * self.b
+            centred = (P + bh >= 0.0) & (Q + bh <= 0.0)
+            centred[[0, -1]] = True
+            self.br = np.where(centred, bh, np.maximum(self.b, 0.0))
+            self.bl = np.where(centred, bh, np.minimum(self.b, 0.0))
 
     # -- residual -----------------------------------------------------------
 
@@ -414,7 +432,8 @@ class _Driver:
             res = w_rad * rad
             res += w_tan * tan
         if self.b is not None:
-            res += self.bh * (wr + wl)
+            res += self.br * wr
+            res += self.bl * wl
         res += self.c_eff * vpow
         res -= g
         return res, (s, w_rad, w_tan, m, delta, vsup)
@@ -425,7 +444,7 @@ class _Driver:
         """Coefficients P of w_{i+1/2} and Q of w_{i-1/2} in row i under the
         weights (w_rad, w_tan)."""
         rad = w_rad / ((self.alpha + 1.0) * self.h)
-        return rad + w_tan * self.tr + self.bh, w_tan * self.tl - rad + self.bh
+        return rad + w_tan * self.tr + self.br, w_tan * self.tl - rad + self.bl
 
     def _bands(self, v, aux):
         """Tridiagonal bands of the linearization at the iterate v: the
@@ -510,7 +529,7 @@ class _Driver:
         Newton steps and backtracked points.  Also stops on a step rejected
         from an iterate whose residual is at its floor, on singular bands,
         or on an alpha != 0 iterate escaping past U_max.  alpha = 0 iterates
-        are not tested against U_max: with a monotone stencil every
+        are not tested against U_max: the stencil is monotone, so every
         alpha = 0 step solves a linear problem frozen at a policy, which the
         barrier of ``solve_neumann`` bounds, or below both thresholds the
         nonnegative inverse of the M-matrix -L.  The best iterate seen is

@@ -1,4 +1,4 @@
-"""Shared manufactured-solution helpers for the test suite."""
+"""Shared manufactured-solution helpers and fixtures for the test suite."""
 
 import numpy as np
 import pytest
@@ -75,6 +75,20 @@ class Manufactured:
 @pytest.fixture
 def mfg2d():
     return Manufactured(R=1.0, N=2)
+
+
+@pytest.fixture
+def singular_factor(monkeypatch):
+    """LAPACK gttrf reports every tridiagonal matrix singular (info = 1)."""
+    from eigenball import solver
+
+    gttrf = solver._gttrf
+
+    def singular_gttrf(*args):
+        *lu, _ = gttrf(*args)
+        return (*lu, 1)
+
+    monkeypatch.setattr(solver, "_gttrf", singular_gttrf)
 
 
 def nested_solve(op, coeff, lam, g_profile, grids, tol=1e-9):

@@ -85,6 +85,27 @@ def test_build_params_rejects_large_beta2():
     assert exc.value.bound == pytest.approx(bound)
 
 
+SEARCH = dict(N_dim=2, a=1.0, A=2.0, alpha=0.0, R=1.0, rho=0.25, k=4.0, beta1=10.0)
+
+
+def test_build_params_halves_the_shell_width():
+    # close to the limit form, the exact-D bound rejects the first five
+    # shell widths (R - rho)/4 * 2^-j
+    limit = eb.beta2_upper_bound(**SEARCH)
+    params = eb.build_params(**SEARCH, beta2=0.99 * limit)
+    assert params.eps_prime == 0.005859375 == 0.1875 / 2**5
+    assert params.eps == params.eps_prime / 2.0
+    assert params.validate() is params
+
+
+def test_build_params_search_exhausted():
+    limit = eb.beta2_upper_bound(**SEARCH)
+    message = "no admissible shell width found in 2 halvings"
+    with pytest.raises(eb.InfeasibleParams, match=message) as exc:
+        eb.build_params(**SEARCH, beta2=0.999 * limit, max_halvings=2)
+    assert exc.value.bound == limit
+
+
 def test_build_params_thin_shell_limit():
     # with forced tiny shells, D approaches the closed-form limit
     d_lim = 4.0 * (0.75 / 4.0 + (4.0 - 1.25) / 7.5)

@@ -66,6 +66,13 @@ def test_solve_report_names_the_residual_floor(tmp_path):
     assert report["residual_sup"] <= 1e-6 <= report["residual_floor"]
 
 
+def test_solve_with_singular_factor_exits_2(tmp_path, singular_factor):
+    code, out = run_cli(tmp_path, BASE_SOLVE)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 0
+
+
 def test_invalid_grid_exits_3(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["grid"]["n"] = 2

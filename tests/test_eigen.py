@@ -484,20 +484,28 @@ def test_three_dimensional_pucci_has_cw_bracket():
         assert est.lambda_lo <= cw.lo <= cw.hi <= est.lambda_hi, kind
 
 
-def test_drift_breaks_the_monotone_stencil():
-    # with h|b| > 2 min w_rad the drift makes an off-diagonal negative, so the
-    # CW bracket is refused and every probe is a monotone-iteration run;
-    # a mild drift keeps the stencil monotone
+def test_drift_keeps_the_stencil_monotone():
+    # with h|b| > 2 min w_rad the centred drift would make an off-diagonal
+    # negative; the upwind rows keep every policy's stencil monotone, so even
+    # b = 300 gets a CW bracket both ways, its ends replay with the monotone
+    # iteration, and every probe reads off it
     from eigenball.eigen import _collatz_wielandt
 
     def c(r):
         return -1.0 - r**2
 
     strong = eb.CoefficientField(b=300.0, c=c, g=0.0)
-    assert _collatz_wielandt(LAP, strong, GRID, "up") is None
+    opts = eb.SolveOptions(max_iter=400_000)
+    for sign, g in (("up", -1.0), ("down", 1.0)):
+        cw = _collatz_wielandt(LAP, strong, GRID, sign)
+        assert cw is not None, sign
+        below = eb.monotone_iteration(LAP, strong, cw.lo - 0.01, g, GRID, opts, direction=sign)
+        assert below.verdict is eb.Verdict.CONVERGED, sign
+        above = eb.monotone_iteration(LAP, strong, cw.hi + 0.01, g, GRID, opts, direction=sign)
+        assert above.verdict is eb.Verdict.UNBOUNDED, sign
     est = eb.lambda_up(LAP, strong, GRID, eb.EigenOptions(bracket_width=0.1))
-    assert est.cw_bracket is None
-    assert {p[2] for p in est.probes} == {"monotone"}
+    assert est.cw_bracket is not None
+    assert {p[2] for p in est.probes} == {"cw"}
     mild = eb.CoefficientField(b=lambda r: 0.3 * r, c=c, g=0.0)
     cw = _collatz_wielandt(LAP, mild, GRID, "up")
     assert cw is not None and cw.hi - cw.lo <= 1e-8

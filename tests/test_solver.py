@@ -87,12 +87,36 @@ def one_sided_rows(op, g):
     return rows
 
 
+def upwind_rows(op, g, b):
+    """Rows where the centred drift b M would give a flux the wrong sign
+    under some policy: P + b/2 < 0 or Q + b/2 > 0, P and Q the drift-free
+    coefficients of w_{i+1/2} and w_{i-1/2}, P at the least weights and Q at
+    the least radial and the largest tangential one; ends excluded."""
+    pos, neg = (op.second_order_weights(x, x, g.nodes) for x in (1.0, -1.0))
+    w_rad_min = np.minimum(pos[0], neg[0])
+    w_tan_min = np.minimum(pos[1], neg[1])
+    w_tan_max = np.maximum(pos[1], neg[1])
+    inv_r = np.zeros(g.n)
+    inv_r[1:] = 1.0 / g.nodes[1:]
+    one_sided = one_sided_rows(op, g)
+    # tangential coefficients of w_{i+1/2} and w_{i-1/2}, times 1/(N-1)
+    tr = np.where(one_sided, 1.0 / (g.nodes + g.h / 2), inv_r / 2)
+    tl = np.where(one_sided, 0.0, inv_r / 2)
+    rad = w_rad_min / ((op.alpha + 1) * g.h)
+    P = rad + (g.N_dim - 1) * w_tan_min * tr
+    Q = (g.N_dim - 1) * w_tan_max * tl - rad
+    rows = (P + b / 2 < 0) | (Q + b / 2 > 0)
+    rows[[0, -1]] = False
+    return rows
+
+
 def flux_reference(op, coeff, u):
     """Pointwise reference of the alpha != 0 flux form: the half-node fluxes
     w = |s|^alpha s with odd ghost fluxes, radial eigenvalue D/(alpha+1),
     tangential eigenvalue M/r (D at r = 0, 0 at r = R, w_{i+1/2}/r_{i+1/2}
-    in the one-sided rows) and drift b M, weighted by the operator's own
-    second-order weights."""
+    in the one-sided rows) and drift b M (b w_{i+1/2} for b > 0 and
+    b w_{i-1/2} for b < 0 in the upwind rows), weighted by the operator's
+    own second-order weights."""
     g = u.grid
     r, h, N, alpha = g.nodes, g.h, g.N_dim, op.alpha
     s = np.diff(u.values) / h
@@ -110,8 +134,11 @@ def flux_reference(op, coeff, u):
     radial = D / (alpha + 1)
     w_rad, w_tan = op.second_order_weights(radial, tangential, r)
     b, c, data = coeff.sample(r)
+    drift = b * M
+    upwind = upwind_rows(op, g, b)
+    drift[upwind] = np.where(b > 0, b * wr, b * wl)[upwind]
     zero_order = c * np.sign(u.values) * np.abs(u.values) ** (alpha + 1)
-    return w_rad * radial + (N - 1) * w_tan * tangential + b * M + zero_order - data
+    return w_rad * radial + (N - 1) * w_tan * tangential + drift + zero_order - data
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -121,7 +148,8 @@ def test_residual_matches_pointwise_operator(name, N):
     # evaluation, node by node, on a state with both Hessian-eigenvalue signs:
     # on the discrete derivatives for alpha = 0 (with the forward difference
     # 2(u_{i+1} - u_i)/(r_{i+1}^2 - r_i^2) as tangential value in the
-    # one-sided rows), on the flux form otherwise
+    # one-sided rows, and the drift on the upwind difference in the upwind
+    # rows), on the flux form otherwise
     op = WEIGHT_OPERATORS[name]
     g = eb.build_grid(1.0, N, 101)
     r = g.nodes
@@ -138,6 +166,10 @@ def test_residual_matches_pointwise_operator(name, N):
         rows = np.flatnonzero(one_sided_rows(op, g))
         tangential[rows] = 2 * (u.values[rows + 1] - u.values[rows]) / (
             r[rows + 1] ** 2 - r[rows] ** 2)
+        # with the tangential value given, u1 enters only the drift; b > 0
+        # off the axis, so the upwind difference is the forward one
+        upwind = np.flatnonzero(upwind_rows(op, g, coeff.sample(r)[0]))
+        u1[upwind] = (u.values[upwind + 1] - u.values[upwind]) / g.h
         ref = eb.eval_radial_G(op, coeff, r, u.values, u1, u2, 0.0, N,
                                tangential=tangential)
     assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -147,15 +179,20 @@ def test_residual_matches_pointwise_operator(name, N):
 @pytest.mark.parametrize("name", sorted(WEIGHT_OPERATORS))
 def test_flux_form_bands_are_monotone(name, N):
     # the Jacobian has nonnegative off-diagonals on every iterate, whatever
-    # the Pucci policy: the scheme is monotone, for alpha = 0 too
+    # the Pucci policy and the drift: the scheme is monotone, for alpha = 0
+    # too (the centred drift b/2 gave p = 3 in N = 3 a negative lower
+    # off-diagonal at b = 0.3r + 0.5, and b = 300 broke every operator)
     g = eb.build_grid(1.0, N, 101)
-    driver = _Driver(WEIGHT_OPERATORS[name], g, None, -1.0 - g.nodes**2)
-    rng = np.random.default_rng(N)
-    for _ in range(50):
-        v = rng.uniform(-2.0, 2.0, g.n) * rng.uniform(0.0, 1.0)
-        _, aux = driver.residual(0.0, v)
-        lower, _, upper = driver._bands(v, aux)
-        assert lower.min() >= 0.0 and upper.min() >= 0.0
+    r = g.nodes
+    for b in (None, 0.3 * r + 0.5, -0.3, 300.0, -300.0):
+        b = None if b is None else np.broadcast_to(b, r.shape)
+        driver = _Driver(WEIGHT_OPERATORS[name], g, b, -1.0 - r**2)
+        rng = np.random.default_rng(N)
+        for _ in range(50):
+            v = rng.uniform(-2.0, 2.0, g.n) * rng.uniform(0.0, 1.0)
+            _, aux = driver.residual(0.0, v)
+            lower, _, upper = driver._bands(v, aux)
+            assert lower.min() >= 0.0 and upper.min() >= 0.0, b
 
 
 # ------------------------------ solve_neumann --------------------------------
@@ -598,6 +635,16 @@ def test_cold_positive_alpha_solves_take_newton_steps(op, u0):
     assert rep.converged and rep.barrier_ok
     assert rep.iterations <= 20
     assert rep.solution.values[0] == pytest.approx(u0, abs=1e-8)
+
+
+def test_singular_factor_stops_the_solve(singular_factor):
+    # LAPACK reporting the bands singular ends the solve at its start,
+    # unconverged, without an exception
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    rep = eb.solve_neumann(LAP, coeff, 0.0, None, eb.build_grid(1.0, 2, 101))
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.residual_sup == 1.0
 
 
 def _counted_steps(monkeypatch):
