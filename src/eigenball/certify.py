@@ -203,6 +203,10 @@ def build_params(
     hold.  Passing ``eps``/``eps_prime`` skips the search (used to study the
     thin-shell limit directly).
     """
+    if (eps is None) != (eps_prime is None):
+        raise ValueError("pass both eps and eps_prime, or neither")
+    if eps is not None and not 0 < eps < eps_prime < R - rho:
+        raise ValueError(f"need 0 < eps < eps_prime < R - rho, got {eps}, {eps_prime}, {R - rho}")
     limit = beta2_upper_bound(N_dim, a, A, alpha, R, rho, k, beta1)
     if not beta2 < limit:
         raise InfeasibleParams(
@@ -210,20 +214,9 @@ def build_params(
             bound=limit,
         )
 
-    if (eps is None) != (eps_prime is None):
-        raise ValueError("pass both eps and eps_prime, or neither")
-    if eps is not None:
-        candidates = [(eps, eps_prime)]
-    else:
-        candidates = []
-        ep = (R - rho) / 4.0
-        for _ in range(max_halvings):
-            candidates.append((ep / 2.0, ep))
-            ep /= 2.0
-
-    for e, ep in candidates:
-        if not (0 < e < ep < R - rho):
-            continue
+    top = (R - rho) / 4.0
+    search = [(top / 2.0 ** (j + 1), top / 2.0**j) for j in range(max_halvings)]
+    for e, ep in search if eps is None else [(eps, eps_prime)]:
         E = k / (R - rho - ep)
         C = _middle_C(N_dim, a, A, alpha, R, rho, e, beta1)
         D = (E / 4.0) * (R - rho - e) ** 2 + E * C + e

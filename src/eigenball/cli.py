@@ -160,9 +160,12 @@ def _number(value, where: str) -> float:
 
 
 def _checked(where: str, build, *args, **kw):
-    """``build(*args, **kw)``, its ValueError reported as a config error."""
+    """``build(*args, **kw)``, its ValueError reported as a config error;
+    ``InfeasibleParams`` is a verdict and passes through."""
     try:
         return build(*args, **kw)
+    except InfeasibleParams:
+        raise
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 
@@ -237,23 +240,22 @@ def _parse_grid(d: dict):
 
 def _parse_certify_params(c, grid, op):
     """``build_params`` of the certify section.  A field that is missing or
-    not a finite number, and a geometry without a beta2 bound, are config
-    errors; a beta2 at or above the bound raises ``InfeasibleParams``."""
+    not a finite number, a geometry without a beta2 bound and forced shell
+    widths outside 0 < eps < eps_prime < R - rho are config errors; a beta2
+    at or above the bound raises ``InfeasibleParams``."""
     if not isinstance(c, dict):
         raise ConfigError("certify: section missing or not an object")
     for key in ("rho", "k", "beta1"):
         _require(c, key, "certify")
     if "beta2" not in c and "beta2_fraction" not in c:
         raise ConfigError("certify: need beta2 or beta2_fraction")
-    if ("eps" in c) != ("eps_prime" in c):
-        raise ConfigError("certify: give both eps and eps_prime, or neither")
     keys = ("rho", "k", "beta1", "beta2", "beta2_fraction", "eps", "eps_prime")
     x = {key: _number(c[key], f"certify: {key}") for key in keys if key in c}
     geometry = (grid.N_dim, op.a, op.A, op.alpha, grid.R, x["rho"], x["k"], x["beta1"])
     limit = _checked("certify", beta2_upper_bound, *geometry)
     beta2 = x["beta2"] if "beta2" in x else x["beta2_fraction"] * limit
     kw = {key: x[key] for key in ("eps", "eps_prime") if key in x}
-    return build_params(*geometry, beta2, **kw)
+    return _checked("certify", build_params, *geometry, beta2, **kw)
 
 
 def _parse_options(cfg: dict):

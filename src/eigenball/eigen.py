@@ -19,11 +19,12 @@ subsolution for every lambda > max rho, which rules out a bounded limit of
 the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
 iteration, one shifted inverse-iteration solve per round, and the bracket
-returned is centred on the midpoint of [min rho, max rho].  Only without it
-(alpha != 0, or Howard rounds that fail) does a golden-split bisection
-run; its probes, and any probe within a rounding guard of the bracket, run
-``monotone_iteration`` with g = -1 (g = +1 for the mirrored eigenvalue)
-and watch whether the iterates settle or blow up.
+returned is centred on the midpoint of [min rho, max rho], each rho_i
+resolved to the rounding of row i of L phi over phi_i (``solver._row_floor``).
+Only without it (alpha != 0, or Howard rounds that fail) does a
+golden-split bisection run; its probes, and any probe within that rounding
+guard of the bracket, run ``monotone_iteration`` with g = -1 (g = +1 for
+the mirrored eigenvalue) and watch whether the iterates settle or blow up.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
 supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
@@ -54,7 +55,7 @@ from .solver import (
     SolveWorkspace,
     Verdict,
     _Driver,
-    _rounding_floor,
+    _row_floor,
     _solve_report,
     _TriFactor,
     monotone_iteration,
@@ -156,7 +157,7 @@ class EigenEstimate:
     ``cw_bracket`` = (min rho, max rho) of a positive eigenvector phi.  With
     it the eigenfunction is phi and the bracket is centred on its midpoint,
     half-width max(w/2, (max rho - min rho)/2 + 2 guard) for the resolved
-    ``bracket_width`` w, so wider than w only for a large rounding guard.
+    ``bracket_width`` w, so wider than w only for a large ``_row_floor`` guard.
     ``cw_bracket`` is ``None`` for alpha != 0 or Howard rounds that fail;
     bisection then gives the bracket, and the eigenfunction is the final
     iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
@@ -221,19 +222,18 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     driver = _Driver(op, grid, b, c)
     c_inf = float(np.max(np.abs(c)))
-    floor = _rounding_floor(op, grid, c_inf)
     phi = np.ones(grid.n)
     rounds = 0
     while True:
         res, aux = driver.residual(0.0, phi)
+        lower, diag, upper = bands = driver._bands(phi, aux)
         rho = -res / phi
         lo, hi = float(rho.min()), float(rho.max())
-        # rho_i carries the stencil's rounding error divided by phi_i
-        guard = floor / float(phi.min())
+        # rho_i carries the rounding error of row i of L phi divided by phi_i
+        guard = _row_floor(phi, bands)
         if hi - lo <= max(_CW_REL_WIDTH * (1.0 + c_inf), guard) or rounds == _CW_MAX_ROUNDS:
             return _CWBracket(lo, hi, guard, phi)
-        lower, diag, upper = driver._bands(phi, aux)
-        sigma = lo - (hi - lo)
+        sigma = lo - (hi - lo) / 100.0
         try:
             x = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
         except np.linalg.LinAlgError:

@@ -47,7 +47,7 @@ whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
 (direction="down") they decrease.  ``eigen.solve_general`` runs it only
 for its two envelopes, and solves for u by the Newton solve above, started
-at the negative envelope.
+at the negative envelope; its inner solves stop at ``_floor`` too.
 
 The dichotomy needs two facts about the shift s, and s is the smallest
 that gives both: c - s <= -1, so every inner problem is coercive with the
@@ -158,12 +158,15 @@ def _floor(v, bands) -> float:
     return ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
 
 
-def _rounding_floor(op, grid, c_inf) -> float:
-    """Attainable residual per unit sup-norm of the solution: the backward
-    error eps * (4 A / h^2 + |c|_inf + 1) of the stencil, with a safety
-    factor."""
-    _, Aeff = op.ellipticity_bounds()
-    return ROUNDOFF_SAFETY * np.finfo(float).eps * (4.0 * Aeff / grid.h**2 + c_inf + 1.0)
+def _row_floor(v, bands) -> float:
+    """max_i ROUNDOFF_SAFETY eps (|L| |v|)_i / |v_i|, the rounding of
+    (L v)_i / v_i over the rows at a v with no zero entry."""
+    lower, diag, upper = map(np.abs, bands)
+    av = np.abs(v)
+    rows = diag * av
+    rows[1:] += lower * av[:-1]
+    rows[:-1] += upper * av[1:]
+    return ROUNDOFF_SAFETY * np.finfo(float).eps * float((rows / av).max())
 
 
 class PreconditionError(ValueError):
@@ -613,8 +616,6 @@ def _solve_report(driver, g, v0, opts) -> SolveReport:
     v, _, aux, rs, bands, iterations, rejected, converged, bound_violation = (
         driver.solve(g, v0, opts)
     )
-    if bands is None:
-        bands = driver._bands(v, aux)
     return SolveReport(
         solution=GridFunction(driver.grid, v),
         residual_sup=rs,
@@ -622,7 +623,7 @@ def _solve_report(driver, g, v0, opts) -> SolveReport:
         rejected=rejected,
         converged=converged,
         bound_violation=bound_violation and not converged,
-        residual_floor=_floor(v, bands),
+        residual_floor=_floor(v, bands or driver._bands(v, aux)),
     )
 
 
@@ -719,7 +720,8 @@ def monotone_iteration(
     precondition holds by construction, and the factor lambda + s >= 0 keeps
     the iteration order-preserving.  Inner tolerances are tol/10, scaled by
     a bound on the inner right-hand side so they stay meaningful when the
-    iterates grow large, and never below the stencil's rounding floor.
+    iterates grow large, and raised to ``_floor`` of the bands last
+    factored; an inner solve that stops at its own ``_floor`` is accepted.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):
@@ -744,8 +746,6 @@ def monotone_iteration(
     factor = lam + shift
     g_sup = float(np.max(np.abs(g)))
     driver = _Driver(op, grid, b, c - shift, opts.workspace)
-    # attainable residual floor of the inner solves, per unit of ||u||
-    eps_floor = _rounding_floor(op, grid, float(np.max(np.abs(c))))
     inner = SolveOptions(max_iter=opts.inner_max_iter)
     u = np.zeros(grid.n)
     sup = 0.0
@@ -767,10 +767,12 @@ def monotone_iteration(
         # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
         # bound is enough for tolerance/limit scaling
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
-        inner.tol = max(opts.tol / 10.0 * g_scale, eps_floor * (1.0 + sup))
+        # the rounding floor at u of the bands the driver factored last
+        last = driver.ws.factor
+        inner.tol = max(opts.tol / 10.0 * g_scale, _floor(u, last.bands) if last else 0.0)
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u_new, res, aux, rs, _, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
-        if not ok:
+        u_new, res, aux, rs, bands, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
+        if not ok and rs > _floor(u_new, bands or driver._bands(u_new, aux)):
             raise InnerSolveError(
                 step,
                 f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",

@@ -106,6 +106,14 @@ def test_build_params_search_exhausted():
     assert exc.value.bound == limit
 
 
+@pytest.mark.parametrize("eps, eps_prime", [(0.3, 0.2), (-0.1, 0.2), (0.1, 0.75)])
+def test_build_params_rejects_malformed_forced_widths(eps, eps_prime):
+    # malformed input, not an infeasible margin: no search runs on it
+    with pytest.raises(ValueError, match="0 < eps < eps_prime < R - rho") as exc:
+        eb.build_params(**SEARCH, beta2=1.0, eps=eps, eps_prime=eps_prime)
+    assert not isinstance(exc.value, eb.InfeasibleParams)
+
+
 def test_build_params_thin_shell_limit():
     # with forced tiny shells, D approaches the closed-form limit
     d_lim = 4.0 * (0.75 / 4.0 + (4.0 - 1.25) / 7.5)

@@ -234,6 +234,16 @@ def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps, eps_prime", [(0.3, 0.2), (-0.1, 0.2)])
+def test_malformed_forced_shell_widths_exit_3(tmp_path, capsys, eps, eps_prime):
+    # the widths are a config error, not a "reject" certificate (exit 2)
+    cfg = _with(_with(BASE_CERTIFY, "certify.eps", eps), "certify.eps_prime", eps_prime)
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert not out.exists()
+    assert "0 < eps < eps_prime < R - rho" in capsys.readouterr().err
+
+
 def test_integral_floats_are_accepted_as_integers(tmp_path):
     cfg = json.loads(json.dumps(BASE_SOLVE))
     cfg["grid"].update(n=101.0, N_dim=2.0)

@@ -228,6 +228,28 @@ def test_solve_general_where_c_plus_lambda_vanishes(name, g):
     assert rep.residual_sup <= opts.tol
 
 
+NEGATIVE_ALPHA_OPS = {
+    "p_laplacian_1.5": eb.EllipticOperator.p_laplacian(1.5),
+    "pucci_minus_alpha_-0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, -0.5),
+    "pucci_plus_alpha_-0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ALPHA_OPS))
+def test_solve_general_with_negative_alpha(name):
+    # the delta^alpha factor of the gradient floor amplifies the bands, so
+    # the envelopes' inner solves stop at their own rounding floor, above
+    # tol/10 (an InnerSolveError at step 1 when the floor ignored it)
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: np.sin(3.0 * r) - 0.2
+    )
+    opts = eb.SolveOptions(tol=1e-7)
+    grid = eb.build_grid(1.0, 2, 401)
+    rep = eb.solve_general(NEGATIVE_ALPHA_OPS[name], coeff, 0.0, None, grid, opts)
+    assert rep.converged and rep.sandwich_ok
+    assert rep.residual_sup <= opts.tol
+
+
 def test_solve_general_rejects_shift_above_threshold():
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=1.0)
     with pytest.raises(eb.PreconditionError):
@@ -286,6 +308,45 @@ def test_cw_probes_replay_with_monotone_iteration(op, c, sign):
         rep = eb.monotone_iteration(op, coeff, lam, g, GRID,
                                     eb.SolveOptions(max_iter=400_000), direction=sign)
         assert rep.verdict.value == verdict, lam
+
+
+@pytest.mark.parametrize("n", [101, 201, 401])
+@pytest.mark.parametrize(
+    "R, c, exact",
+    [
+        (10.0, lambda r: -1.0 - r**2, 3.0),
+        (5.0, lambda r: 0.5 - 3.0 * r**2, 2.0 * np.sqrt(3.0) - 0.5),
+    ],
+    ids=["R10", "R5"],
+)
+def test_cw_bracket_on_a_large_ball(R, c, exact, n):
+    # the 2-D harmonic oscillator -Laplacian + w^2 r^2 has ground energy 2w,
+    # so lambda_bar = 3 for c = -1 - r^2 and 2 sqrt(3) - 1/2 for
+    # c = 0.5 - 3 r^2.  phi decays to rounding level in the tail, where the
+    # guard |L||phi| / phi of each row stays small (a guard scaled by
+    # 1/min phi made these brackets 0.07-0.32 wide, or exit 2)
+    est = bracket(LAP, c, grid=eb.build_grid(R, 2, n), bracket_width=0.02)
+    assert est.lambda_lo <= exact <= est.lambda_hi
+    assert est.width == pytest.approx(0.02, abs=1e-12)
+    assert [p[2] for p in est.probes] == ["cw"] * 4
+
+
+@pytest.mark.parametrize("sign", ["up", "down"])
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ALPHA_OPS))
+def test_negative_alpha_bracket_ends_replay(name, sign):
+    # alpha < 0 probes are monotone runs whose inner solves stop at the
+    # rounding floor of their own bands; both certified ends replay
+    op = NEGATIVE_ALPHA_OPS[name]
+    est = bracket(op, lambda r: -1.0 - r**2, sign=sign, bracket_width=0.02)
+    assert np.isfinite([est.lambda_lo, est.lambda_hi]).all()
+    assert est.width <= 0.02
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: -1.0 - r**2, g=0.0)
+    g = -1.0 if sign == "up" else 1.0
+    opts = eb.SolveOptions(max_iter=400_000)
+    for lam, verdict in ((est.lambda_lo, eb.Verdict.CONVERGED), (est.lambda_hi, eb.Verdict.UNBOUNDED)):
+        rep = eb.monotone_iteration(op, coeff, lam, g, GRID, opts, direction=sign)
+        assert rep.verdict is verdict, lam
+        assert rep.monotone, lam
 
 
 def test_probe_in_guard_band_runs_monotone_iteration():
