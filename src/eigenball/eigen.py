@@ -20,7 +20,7 @@ the iteration: the discrete Collatz-Wielandt bracket
 min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
 iteration, one shifted inverse-iteration solve per round, and the bracket
 returned is centred on the midpoint of [min rho, max rho], each rho_i
-resolved to the rounding of row i of L phi over phi_i (``solver._row_floor``).
+resolved to ``solver._rounding`` of the stencil terms of row i over phi_i.
 Only without it (alpha != 0, or Howard rounds that fail) does a
 golden-split bisection run; its probes, and any probe within that rounding
 guard of the bracket, run ``monotone_iteration`` with g = -1 (g = +1 for
@@ -55,7 +55,7 @@ from .solver import (
     SolveWorkspace,
     Verdict,
     _Driver,
-    _row_floor,
+    _rounding,
     _solve_report,
     _TriFactor,
     monotone_iteration,
@@ -157,7 +157,7 @@ class EigenEstimate:
     ``cw_bracket`` = (min rho, max rho) of a positive eigenvector phi.  With
     it the eigenfunction is phi and the bracket is centred on its midpoint,
     half-width max(w/2, (max rho - min rho)/2 + 2 guard) for the resolved
-    ``bracket_width`` w, so wider than w only for a large ``_row_floor`` guard.
+    ``bracket_width`` w, so wider than w only for a large rounding guard.
     ``cw_bracket`` is ``None`` for alpha != 0 or Howard rounds that fail;
     bisection then gives the bracket, and the eigenfunction is the final
     iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
@@ -208,10 +208,11 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
 
     Howard policy iteration: each round freezes the Pucci sign pattern of
     phi, whose bands L reproduce G(phi) exactly, and takes one inverse
-    iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits
-    below min rho <= the policy's Perron root, so -L - sigma is a
-    nonsingular M-matrix and the step keeps phi positive.  Returns ``None``
-    for alpha != 0 or a step that fails; the mirrored eigenvalue uses the
+    iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits at
+    least two guards below the computed min rho, so below the exact
+    min rho <= the policy's Perron root: -L - sigma is a nonsingular
+    M-matrix and the step keeps phi positive.  Returns ``None`` for
+    alpha != 0 or a step that fails; the mirrored eigenvalue uses the
     reflected operator.
     """
     if op.alpha != 0.0:
@@ -226,14 +227,14 @@ def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
     rounds = 0
     while True:
         res, aux = driver.residual(0.0, phi)
-        lower, diag, upper = bands = driver._bands(phi, aux)
         rho = -res / phi
         lo, hi = float(rho.min()), float(rho.max())
         # rho_i carries the rounding error of row i of L phi divided by phi_i
-        guard = _row_floor(phi, bands)
+        guard = float((_rounding(driver._bands(phi, aux, terms=True), phi) / phi).max())
         if hi - lo <= max(_CW_REL_WIDTH * (1.0 + c_inf), guard) or rounds == _CW_MAX_ROUNDS:
             return _CWBracket(lo, hi, guard, phi)
-        sigma = lo - (hi - lo) / 100.0
+        lower, diag, upper = driver._bands(phi, aux)
+        sigma = lo - max((hi - lo) / 100.0, 2.0 * guard)
         try:
             x = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
         except np.linalg.LinAlgError:

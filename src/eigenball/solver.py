@@ -147,26 +147,22 @@ def _supabs(x) -> float:
     return float(np.maximum.reduce(np.abs(x)))
 
 
+def _rounding(bands, w=None):
+    """ROUNDOFF_SAFETY eps |L| w, the rounding of each row of L v for the
+    bands L and any |v| <= w (w = 1 when None)."""
+    lower, rows, upper = map(np.abs, bands)
+    if w is not None:
+        lower, rows, upper = lower * w[:-1], rows * w, upper * w[1:]
+    rows[1:] += lower
+    rows[:-1] += upper
+    return ROUNDOFF_SAFETY * np.finfo(float).eps * rows
+
+
 def _floor(v, bands) -> float:
     """ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), the smallest residual
     floating point resolves at the iterate v with bands L; ||L||_inf is the
     largest absolute row sum of L."""
-    lower, diag, upper = bands
-    rows = np.abs(diag)
-    rows[1:] += np.abs(lower)
-    rows[:-1] += np.abs(upper)
-    return ROUNDOFF_SAFETY * np.finfo(float).eps * float(rows.max()) * (1.0 + _supabs(v))
-
-
-def _row_floor(v, bands) -> float:
-    """max_i ROUNDOFF_SAFETY eps (|L| |v|)_i / |v_i|, the rounding of
-    (L v)_i / v_i over the rows at a v with no zero entry."""
-    lower, diag, upper = map(np.abs, bands)
-    av = np.abs(v)
-    rows = diag * av
-    rows[1:] += lower * av[:-1]
-    rows[:-1] += upper * av[1:]
-    return ROUNDOFF_SAFETY * np.finfo(float).eps * float((rows / av).max())
+    return float(_rounding(bands).max()) * (1.0 + _supabs(v))
 
 
 class PreconditionError(ValueError):
@@ -329,6 +325,7 @@ class _Driver:
     __slots__ = (
         "op", "grid", "b", "c_eff", "zc", "ws", "alpha", "n", "h", "r", "N",
         "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "br", "bl",
+        "last_bands",
     )
 
     def __init__(self, op, grid, b, c_eff, ws=None):
@@ -338,6 +335,7 @@ class _Driver:
         self.c_eff = c_eff
         self.ws = ws if ws is not None else SolveWorkspace()
         self.ws.rebind(grid, op, self.b, c_eff)
+        self.last_bands = None
         self.alpha = op.alpha
         self.n = grid.n
         self.h = grid.h
@@ -443,26 +441,31 @@ class _Driver:
 
     # -- frozen linearization ----------------------------------------------
 
-    def _flux_weights(self, w_rad, w_tan):
+    def _flux_weights(self, w_rad, w_tan, terms=False):
         """Coefficients P of w_{i+1/2} and Q of w_{i-1/2} in row i under the
-        weights (w_rad, w_tan)."""
+        weights (w_rad, w_tan); ``terms`` as in ``_bands``."""
         rad = w_rad / ((self.alpha + 1.0) * self.h)
+        if terms:
+            P = rad + abs(w_tan * self.tr) + abs(self.br)
+            return P, -rad - abs(w_tan * self.tl) - abs(self.bl)
         return rad + w_tan * self.tr + self.br, w_tan * self.tl - rad + self.bl
 
-    def _bands(self, v, aux):
+    def _bands(self, v, aux, terms=False):
         """Tridiagonal bands of the linearization at the iterate v: the
         Jacobian of the flux form under the policy frozen in aux.
 
         For alpha = 0 that is the frozen-coefficient operator L with
         L v = G(v) exactly, which makes the Newton steps a policy iteration.
+        With ``terms`` (alpha = 0) each term ``residual`` computes is taken in
+        absolute value, so a band that cancels to 0 keeps its terms' rounding.
         """
         s, w_rad, w_tan, m, delta, vsup = aux
-        P, Q = self._flux_weights(w_rad, w_tan)
+        P, Q = self._flux_weights(w_rad, w_tan, terms)
         a = self.alpha
         if a == 0.0:
             # Phi(s) = s: d wr/d v_{i+1} = d wl/d v_i = 1/h
             pr, ql = P / self.h, Q / self.h
-            z = self.zc
+            z = -np.abs(self.zc) if terms else self.zc
         else:
             # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at
             # 1e-6 (1 + sup|v|) for alpha > 0; the derivative of the floored
@@ -499,6 +502,7 @@ class _Driver:
             except np.linalg.LinAlgError:
                 return None
             ws.pattern = pattern
+        self.last_bands = ws.factor.bands
         return ws.factor
 
     # -- solver -------------------------------------------------------------
@@ -720,8 +724,9 @@ def monotone_iteration(
     precondition holds by construction, and the factor lambda + s >= 0 keeps
     the iteration order-preserving.  Inner tolerances are tol/10, scaled by
     a bound on the inner right-hand side so they stay meaningful when the
-    iterates grow large, and raised to ``_floor`` of the bands last
-    factored; an inner solve that stops at its own ``_floor`` is accepted.
+    iterates grow large, and raised to ``_floor`` at u of the bands of the
+    run's last Newton step; an inner solve that stops at its own ``_floor``
+    is accepted.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):
@@ -748,8 +753,8 @@ def monotone_iteration(
     driver = _Driver(op, grid, b, c - shift, opts.workspace)
     inner = SolveOptions(max_iter=opts.inner_max_iter)
     u = np.zeros(grid.n)
-    sup = 0.0
-    res = aux = g_prev = None
+    sup = unit = 0.0
+    res = aux = g_prev = seen = None
     sup_norms = [0.0]
     min_values = [0.0]
     flags = []
@@ -767,9 +772,13 @@ def monotone_iteration(
         # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
         # bound is enough for tolerance/limit scaling
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
-        # the rounding floor at u of the bands the driver factored last
-        last = driver.ws.factor
-        inner.tol = max(opts.tol / 10.0 * g_scale, _floor(u, last.bands) if last else 0.0)
+        # _floor at u of the bands of this run's last Newton step (0 before
+        # it; never an earlier run's, whose iterate may have escaped far),
+        # ||L||_inf taken again only when they change (per policy at alpha = 0)
+        if driver.last_bands is not seen:
+            seen = driver.last_bands
+            unit = float(_rounding(seen).max())
+        inner.tol = max(opts.tol / 10.0 * g_scale, unit * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
         u_new, res, aux, rs, bands, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
         if not ok and rs > _floor(u_new, bands or driver._bands(u_new, aux)):

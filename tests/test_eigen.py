@@ -310,6 +310,36 @@ def test_cw_probes_replay_with_monotone_iteration(op, c, sign):
         assert rep.verdict.value == verdict, lam
 
 
+def test_cw_guard_covers_the_rounding_of_cancelling_terms():
+    # Pucci- (0.5, 3) in N = 2 has Q = w_tan tl - w_rad / h = 0 exactly in
+    # the row where 2 i a = (N - 1) A; the residual computes the two terms
+    # apart, so their rounding survives where phi falls by orders of
+    # magnitude from the row's neighbour.  Every rho_i is within the guard
+    # of rho_i evaluated in exact arithmetic at the same phi.
+    from fractions import Fraction
+
+    from eigenball.eigen import _collatz_wielandt
+    from eigenball.solver import _Driver
+
+    op = eb.EllipticOperator.pucci_minus(0.5, 3.0, 0.0)
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: -1.0 - r**2, g=-1.0)
+    grid = eb.build_grid(10.0, 2, 11)
+    cw = _collatz_wielandt(op, coeff, grid, "up")
+    driver = _Driver(op, grid, None, -1.0 - grid.nodes**2)
+    res, (_, w_rad, w_tan, *_) = driver.residual(0.0, cw.phi)
+    phi, h = [Fraction(x) for x in cw.phi], Fraction(grid.h)
+    s = [(phi[i + 1] - phi[i]) / h for i in range(grid.n - 1)]
+    wp = [-s[0]] + s + [-s[-1]]
+    for i in range(grid.n):
+        wr, wl = wp[i + 1], wp[i]
+        exact = (
+            Fraction(w_rad[i]) * (wr - wl) / h
+            + Fraction(w_tan[i]) * (Fraction(driver.tr[i]) * wr + Fraction(driver.tl[i]) * wl)
+            + Fraction(driver.c_eff[i]) * phi[i]
+        )
+        assert abs(Fraction(res[i]) - exact) / phi[i] <= cw.guard, i
+
+
 @pytest.mark.parametrize("n", [101, 201, 401])
 @pytest.mark.parametrize(
     "R, c, exact",
@@ -331,12 +361,24 @@ def test_cw_bracket_on_a_large_ball(R, c, exact, n):
     assert [p[2] for p in est.probes] == ["cw"] * 4
 
 
-@pytest.mark.parametrize("sign", ["up", "down"])
-@pytest.mark.parametrize("name", sorted(NEGATIVE_ALPHA_OPS))
-def test_negative_alpha_bracket_ends_replay(name, sign):
-    # alpha < 0 probes are monotone runs whose inner solves stop at the
-    # rounding floor of their own bands; both certified ends replay
-    op = NEGATIVE_ALPHA_OPS[name]
+MONOTONE_PROBE_OPS = {
+    **NEGATIVE_ALPHA_OPS,
+    "p_laplacian_4": eb.EllipticOperator.p_laplacian(4.0),
+    "p_laplacian_5": eb.EllipticOperator.p_laplacian(5.0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, sign",
+    [(name, sign) for name in sorted(NEGATIVE_ALPHA_OPS) for sign in ("up", "down")]
+    + [("p_laplacian_4", "up"), ("p_laplacian_5", "up")],
+)
+def test_monotone_bracket_ends_replay(name, sign):
+    # alpha != 0 probes are monotone runs whose inner solves stop at the
+    # rounding floor of their own bands; both certified ends replay.  For
+    # alpha >= 2 the bands grow like |u'|^alpha / h^2, so a floor read off
+    # the previous probe's blown-up iterate would accept every probe at once
+    op = MONOTONE_PROBE_OPS[name]
     est = bracket(op, lambda r: -1.0 - r**2, sign=sign, bracket_width=0.02)
     assert np.isfinite([est.lambda_lo, est.lambda_hi]).all()
     assert est.width <= 0.02
