@@ -2,44 +2,56 @@
 
 The upper principal eigenvalue is the supremum of shifts lambda admitting a
 positive bounded supersolution of G + lambda v^{alpha+1} <= 0 under the
-Neumann condition; below it the maximum principle holds, at and above it the
-monotone iteration with negative data becomes unbounded.  That dichotomy is
-what a probe decides.  The mirrored eigenvalue (negative
-eigenfunctions) is the upper one of the reflected operator -F(-p, -X).
+Neumann condition (Berestycki, Nirenberg & Varadhan 1994): below it the
+maximum principle holds, and at and above it the monotone iteration with
+data g = -1 (``solver.monotone_iteration``) becomes unbounded.  The
+mirrored eigenvalue (negative eigenfunctions) is the upper one of the
+reflected operator -F(-p, -X).
 
-For alpha = 0 the stencil is monotone (nonnegative off-diagonals under
-every row-wise policy, which the flux form keeps with the one-sided rows
-near the axis and the upwind drift rows of ``solver``), and a probe is
-decided from one positive grid function phi.  The discrete Pucci-
-operator is the row-wise minimum, and Pucci+ the maximum, of linear policy
-operators whose negatives are M-matrices.  So with
-rho_i = -G(phi)_i / phi_i, phi is a strict supersolution for every
-lambda < min rho, which bounds the monotone iterates, and a strict
-subsolution for every lambda > max rho, which rules out a bounded limit of
-the iteration: the discrete Collatz-Wielandt bracket
-min rho <= lambda_bar_h <= max rho.  phi comes from Howard policy
-iteration, one shifted inverse-iteration solve per round, and the bracket
-returned is centred on the midpoint of [min rho, max rho], each rho_i
-resolved to ``solver._rounding`` of the stencil terms of row i over phi_i.
-Only without it (alpha != 0, or Howard rounds that fail) does a
-golden-split bisection run; its probes, and any probe within that rounding
-guard of the bracket, run ``monotone_iteration`` with g = -1 (g = +1 for
-the mirrored eigenvalue) and watch whether the iterates settle or blow up.
+Every estimate reads that dichotomy off one positive grid function phi.
+The discrete G of ``solver._Driver`` is monotone in its off-diagonal
+arguments: every Pucci policy weighs w_{i+1/2} nonnegatively and w_{i-1/2}
+nonpositively (the one-sided and upwind rows keep this), the floored flux
+m(s)^alpha s increases with s for alpha > -1, and Pucci-/+ is the row-wise
+min/max over policies.  Its gradient floor is proportional to sup|v|, so G
+is positively homogeneous of degree alpha + 1.  With
+rho_i = -G(phi)_i / phi_i^{alpha+1}, for lambda < min rho every t phi is a
+strict supersolution, G(t phi) + lambda (t phi)^{alpha+1} =
+t^{alpha+1} (lambda - rho) phi^{alpha+1} < 0, which for t large bounds the
+iterates.  For lambda > max rho every t phi is a strict subsolution, and a
+bounded limit u > 0 would solve G(u) + lambda u^{alpha+1} = -1: the largest
+t phi <= u touches u at some node i, where monotonicity gives
+0 < G(t phi)_i + lambda (t phi_i)^{alpha+1} <= -1.  So
+min rho <= lambda_bar_h <= max rho, the Collatz-Wielandt bracket.
+
+phi comes from shifted inverse iteration: psi solves
+-G(psi) - sigma psi^{alpha+1} = phi^{alpha+1}, phi <- psi / max psi, with
+sigma = min rho - max((max rho - min rho)/100, 2 guard) below the exact
+min rho, so the maximum principle keeps psi > 0.  For alpha = 0 that is one
+tridiagonal solve with the bands of phi's policy, which reproduce G(phi)
+exactly (Howard policy iteration); otherwise Newton steps
+(``solver._Driver.solve``) from t phi, t = (mid - sigma)^{-1/(alpha+1)}, mid
+the bracket midpoint.  Rounds stop at a bracket narrower than
+1e-9 (1 + |c|_inf) or the guard, at a round that moves phi by no more than
+rounding (a Newton solve that ends where it started), or after
+``_CW_MAX_ROUNDS``.  The guard resolves each rho_i to
+``solver._rounding`` of the terms of row i over phi_i^{alpha+1}.
 
 Both eigenvalues lie in [-|c|_inf, |c|_inf]: the constant 1 is a
-supersolution at lambda = -|c|_inf, and above |c|_inf the positive/negative
-constants defeat the maximum principle, which pins the initial bracket
-[-|c|_inf - 1, |c|_inf + 1].  Its two ends check the configuration and are
-probes like any other: read off the Collatz-Wielandt bracket when it exists
-(which then lies strictly inside), monotone-iteration runs otherwise or
-when an end falls within the rounding guard.  A verdict at an end contrary
-to the theory, from either source, is a ``BracketError``.
+supersolution at -|c|_inf, and above |c|_inf the constants defeat the
+maximum principle.  So the envelope ends -|c|_inf - 1 and |c|_inf + 1 must
+read convergent and unbounded off the bracket, which check the
+configuration, and the estimate is centred on the bracket's midpoint.  An
+end read contrary to the theory or within the guard, and a round that
+fails, are a ``BracketError``; no estimate runs the monotone iteration, and
+each verdict can be replayed with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -52,9 +64,9 @@ from .solver import (
     PreconditionError,
     SolveOptions,
     SolveReport,
-    SolveWorkspace,
     Verdict,
     _Driver,
+    _floor,
     _rounding,
     _solve_report,
     _TriFactor,
@@ -73,20 +85,21 @@ __all__ = [
     "solve_general",
 ]
 
-# Irrational interval split so the probe sequence cannot land exactly on
-# symmetric special values (e.g. lambda = 0 for c == 0).
-_SPLIT = 2.0 - (1.0 + math.sqrt(5.0)) / 2.0
-
-# Howard rounds of the Collatz-Wielandt eigenpair stop once the bracket is
-# this narrow relative to 1 + |c|_inf (or at the rounding guard), or after
-# this many rounds; policy iteration settles in a handful
+# Collatz-Wielandt rounds stop once the bracket is this narrow relative to
+# 1 + |c|_inf (or at the rounding guard), once a round moves phi by at most
+# _CW_STALL in log, or after _CW_MAX_ROUNDS rounds
 _CW_REL_WIDTH = 1e-9
-_CW_MAX_ROUNDS = 50
+_CW_STALL = 8.0 * np.finfo(float).eps
+_CW_MAX_ROUNDS = 1000
+
+# EigenOptions fields that bounded the monotone probes, which no estimate runs
+_PROBE_ONLY = ("g_scale", "max_outer", "inner_max_iter", "U_max")
 
 
 class BracketError(RuntimeError):
-    """A certified endpoint behaved contrary to the theory (configuration
-    error) or a probe was ambiguous within the iteration budget."""
+    """An envelope end read contrary to the theory (configuration error), a
+    shift lay within the rounding guard of the bracket, or a Collatz-Wielandt
+    round failed."""
 
 
 class EigenResidualError(RuntimeError):
@@ -103,13 +116,15 @@ class EigenResidualError(RuntimeError):
 
 @dataclass
 class EigenOptions:
-    """Options for the eigenvalue bisection.
+    """Options of the eigenvalue estimates.
 
-    ``bracket_width`` defaults to 1e-3 (1 + |c|_inf).  ``g_scale`` is the
-    magnitude of the constant data used in the probes (the bracket is
-    invariant under it, by homogeneity).  ``eig_residual_tol`` bounds the
-    reported eigen-equation residual at the bracket midpoint and defaults
-    to 20x the bracket width.
+    ``bracket_width`` defaults to 1e-3 (1 + |c|_inf).  ``eig_residual_tol``
+    bounds the reported eigen-equation residual at the bracket midpoint and
+    defaults to 20x the bracket width.  ``tol`` is the residual tolerance of
+    the alpha != 0 Collatz-Wielandt rounds.  ``g_scale``, ``max_outer``,
+    ``inner_max_iter`` and ``U_max`` bounded the monotone probes, which no
+    estimate runs: they are checked and ignored, with a
+    ``DeprecationWarning`` for a value other than the default.
     """
 
     bracket_width: Optional[float] = None
@@ -125,6 +140,14 @@ class EigenOptions:
             raise ValueError(f"g_scale must be finite and > 0, got {self.g_scale!r}")
         if self.bracket_width is not None and not self.bracket_width > 0:
             raise ValueError(f"bracket_width must be > 0, got {self.bracket_width!r}")
+        for field in fields(self):
+            if field.name in _PROBE_ONLY and getattr(self, field.name) != field.default:
+                warnings.warn(
+                    f"EigenOptions.{field.name} is ignored: it bounded the monotone "
+                    f"probes, which no eigenvalue estimate runs",
+                    DeprecationWarning,
+                    stacklevel=3,
+                )
 
     def resolved_width(self, c_inf: float) -> float:
         if self.bracket_width is not None:
@@ -136,31 +159,21 @@ class EigenOptions:
             return self.eig_residual_tol
         return 20.0 * width
 
-    def iteration_options(self, workspace: SolveWorkspace) -> SolveOptions:
-        return SolveOptions(
-            tol=self.tol,
-            max_iter=self.max_outer,
-            U_max=self.U_max,
-            inner_max_iter=self.inner_max_iter,
-            workspace=workspace,
-        )
-
 
 @dataclass
 class EigenEstimate:
     """Certified bracket plus the normalized eigenfunction.
 
     ``lambda_lo`` is certified convergent and ``lambda_hi`` certified
-    blow-up.  ``probes`` holds one ``(lambda, verdict, how)`` per probe:
-    ``how`` is ``"monotone"`` for a replayable monotone-iteration run and
-    ``"cw"`` for a verdict read off the Collatz-Wielandt bracket
-    ``cw_bracket`` = (min rho, max rho) of a positive eigenvector phi.  With
-    it the eigenfunction is phi and the bracket is centred on its midpoint,
+    blow-up, both read off the Collatz-Wielandt bracket
+    ``cw_bracket`` = (min rho, max rho) of a positive eigenvector phi
+    (module docstring).  The bracket is centred on its midpoint, of
     half-width max(w/2, (max rho - min rho)/2 + 2 guard) for the resolved
-    ``bracket_width`` w, so wider than w only for a large rounding guard.
-    ``cw_bracket`` is ``None`` for alpha != 0 or Howard rounds that fail;
-    bisection then gives the bracket, and the eigenfunction is the final
-    iterate at ``lambda_lo``.  It has sup-norm exactly 1 and a strict sign.
+    ``bracket_width`` w, so wider than w only when the rounds stopped wide
+    or the rounding guard is large.  ``probes`` holds one
+    ``(lambda, verdict, "cw")`` per shift decided: the two envelope ends and
+    the two bracket ends.  The eigenfunction is phi (negated for the
+    mirrored eigenvalue): it has sup-norm exactly 1 and a strict sign.
     """
 
     lambda_lo: float
@@ -169,7 +182,7 @@ class EigenEstimate:
     residual_sup: float
     sign: str
     probes: list
-    cw_bracket: Optional[tuple] = None
+    cw_bracket: tuple
 
     @property
     def midpoint(self) -> float:
@@ -180,7 +193,7 @@ class EigenEstimate:
         return self.lambda_hi - self.lambda_lo
 
     def summary(self):
-        cw_lo, cw_hi = self.cw_bracket if self.cw_bracket is not None else (None, None)
+        cw_lo, cw_hi = self.cw_bracket
         return {
             "lambda_lo": self.lambda_lo,
             "lambda_hi": self.lambda_hi,
@@ -203,88 +216,73 @@ class _CWBracket:
     phi: np.ndarray
 
 
-def _collatz_wielandt(op, coeff, grid, direction) -> Optional[_CWBracket]:
-    """Positive eigenvector of the alpha = 0 operator and its bracket.
-
-    Howard policy iteration: each round freezes the Pucci sign pattern of
-    phi, whose bands L reproduce G(phi) exactly, and takes one inverse
-    iteration step phi <- (-L - sigma)^{-1} phi.  The shift sigma sits at
-    least two guards below the computed min rho, so below the exact
-    min rho <= the policy's Perron root: -L - sigma is a nonsingular
-    M-matrix and the step keeps phi positive.  Returns ``None`` for
-    alpha != 0 or a step that fails; the mirrored eigenvalue uses the
-    reflected operator.
-    """
-    if op.alpha != 0.0:
-        return None
+def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol) -> _CWBracket:
+    """Positive eigenvector (of the reflected operator for "down") and its
+    bracket (module docstring); ``tol`` is the residual tolerance of the
+    alpha != 0 rounds.  A round that fails is a ``BracketError``."""
     if direction == "down":
         op = op.reflect()
     r = grid.nodes
     b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
     driver = _Driver(op, grid, b, c)
-    c_inf = float(np.max(np.abs(c)))
+    width = _CW_REL_WIDTH * (1.0 + float(np.max(np.abs(c))))
+    inner = SolveOptions(tol=tol, U_max=math.inf)
     phi = np.ones(grid.n)
-    rounds = 0
-    while True:
+    stalled = False
+    for rounds in range(_CW_MAX_ROUNDS + 1):
         res, aux = driver.residual(0.0, phi)
-        rho = -res / phi
+        phi_a1 = phi if op.alpha == 0.0 else phi ** (op.alpha + 1.0)
+        rho = -res / phi_a1
         lo, hi = float(rho.min()), float(rho.max())
-        # rho_i carries the rounding error of row i of L phi divided by phi_i
-        guard = float((_rounding(driver._bands(phi, aux, terms=True), phi) / phi).max())
-        if hi - lo <= max(_CW_REL_WIDTH * (1.0 + c_inf), guard) or rounds == _CW_MAX_ROUNDS:
+        # rho_i carries the rounding of the terms of row i over phi_i^{alpha+1}
+        guard = float((_rounding(driver._bands(phi, aux, terms=True), phi) / phi_a1).max())
+        if stalled or hi - lo <= max(width, guard) or rounds == _CW_MAX_ROUNDS:
             return _CWBracket(lo, hi, guard, phi)
-        lower, diag, upper = driver._bands(phi, aux)
         sigma = lo - max((hi - lo) / 100.0, 2.0 * guard)
+        psi = _inverse_step(driver, phi, phi_a1, aux, sigma, 0.5 * (lo + hi), inner)
+        if psi is None or not psi.min() > 0.0:
+            raise BracketError(
+                f"Collatz-Wielandt round {rounds + 1} at sigma={sigma:.9g} failed: "
+                f"singular bands, a solve above its floor, or a lost strict sign"
+            )
+        new = psi / psi.max()
+        stalled = float(np.max(np.abs(np.log(new / phi)))) <= _CW_STALL
+        phi = new
+
+
+def _inverse_step(driver, phi, phi_a1, aux, sigma, mid, opts):
+    """psi with -G(psi) - sigma psi^{alpha+1} = phi^{alpha+1}, None when its
+    solve fails; for alpha != 0 Newton steps from t phi (module docstring)."""
+    if driver.alpha == 0.0:
+        lower, diag, upper = driver._bands(phi, aux)
         try:
-            x = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
+            return _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
         except np.linalg.LinAlgError:
             return None
-        if not x.min() > 0.0:
-            return None
-        phi = x / x.max()
-        rounds += 1
+    shifted = _Driver(driver.op, driver.grid, driver.b, driver.c_eff + sigma)
+    t = (mid - sigma) ** (-1.0 / (driver.alpha + 1.0))
+    psi, _, aux, rs, bands, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
+    return psi if ok or rs <= _floor(psi, bands or shifted._bands(psi, aux)) else None
 
 
-def _classify(op, coeff, lam, g_profile, grid, opts, ws, direction, cw):
-    """Verdict on a trial shift, as ``(verdict, report, how)``.
-
-    Read off the Collatz-Wielandt bracket ``cw`` when ``lam`` lies outside
-    it by more than its guard (``report`` is then ``None``); otherwise run
-    the monotone iteration.
-    """
-    if cw is not None:
-        if lam < cw.lo - cw.guard:
-            return Verdict.CONVERGED, None, "cw"
-        if lam > cw.hi + cw.guard:
-            return Verdict.UNBOUNDED, None, "cw"
-    rep = monotone_iteration(
-        op,
-        coeff,
-        lam,
-        g_profile,
-        grid,
-        opts.iteration_options(ws),
-        direction=direction,
+def _verdict(cw, lam) -> Verdict:
+    """Verdict on the shift ``lam`` read off the bracket ``cw``; within its
+    guard band there is none."""
+    if lam < cw.lo - cw.guard:
+        return Verdict.CONVERGED
+    if lam > cw.hi + cw.guard:
+        return Verdict.UNBOUNDED
+    raise BracketError(
+        f"lambda={lam:.9g} lies within the rounding guard {cw.guard:.3e} of the "
+        f"Collatz-Wielandt bracket [{cw.lo:.9g}, {cw.hi:.9g}]; no certified verdict"
     )
-    if rep.verdict is Verdict.MAX_ITER:
-        raise BracketError(
-            f"monotone iteration at lambda={lam:.9g} is ambiguous after "
-            f"{opts.max_outer} steps (last sup-norm {rep.sup_norms[-1]:.3e}); "
-            f"raise max_outer or widen the bracket"
-        )
-    return rep.verdict, rep, "monotone"
 
 
-def _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts):
-    """Normalize an eigenfunction candidate to sup-norm 1, check its strict
-    sign and its eigen-equation residual at ``lam_mid``; returns
-    ``(phi, residual_sup)``."""
-    sup = float(np.max(np.abs(values)))
-    if sup == 0.0:
-        raise BracketError("degenerate eigenfunction candidate (identically zero)")
-    phi = GridFunction(grid, values / sup)
-    if (phi.min() if direction == "up" else -phi.max()) <= 0:
-        raise BracketError(f"eigenfunction lost its strict sign ({direction})")
+def _eigenfunction(op, coeff, grid, values, lam_mid, width, opts):
+    """The eigenvector ``values`` (sup-norm 1, strict sign) on the grid and
+    its eigen-equation residual at ``lam_mid``, checked against the
+    resolved tolerance."""
+    phi = GridFunction(grid, values)
     res_sup = residual(op, coeff, lam_mid, 0.0, phi).sup_norm()
     res_tol = opts.resolved_residual_tol(width)
     if res_sup > res_tol:
@@ -292,61 +290,34 @@ def _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts):
     return phi, res_sup
 
 
-def _probe_setup(op, coeff, grid, opts, direction):
-    """|c|_inf, bracket width, probe data and CW bracket of one eigenvalue."""
+def _setup(op, coeff, grid, opts, direction):
+    """|c|_inf, bracket width and CW bracket of one eigenvalue."""
     c_inf = float(np.max(np.abs(sample_profile(coeff.c, grid.nodes))))
-    g_vals = np.full(grid.n, float(-opts.g_scale if direction == "up" else opts.g_scale))
-    cw = _collatz_wielandt(op, coeff, grid, direction)
-    return c_inf, opts.resolved_width(c_inf), g_vals, cw
+    cw = _collatz_wielandt(op, coeff, grid, direction, opts.tol)
+    return c_inf, opts.resolved_width(c_inf), cw
 
 
-def _bisect(op, coeff, grid, opts, direction: str):
-    c_inf, width, g_vals, cw = _probe_setup(op, coeff, grid, opts, direction)
-    ws = SolveWorkspace()
-    probes = []
-
-    def probe(lam):
-        verdict, rep, how = _classify(op, coeff, lam, g_vals, grid, opts, ws, direction, cw)
-        probes.append((lam, verdict.value, how))
-        return verdict, rep
-
-    # the envelope ends check the configuration; the theory puts the CW
-    # bracket strictly inside them, so with it they are read off it too
-    lo, hi = -(c_inf + 1.0), c_inf + 1.0
-    verdict, rep_lo = probe(lo)
-    if verdict is not Verdict.CONVERGED:
+def _estimate(op, coeff, grid, opts, direction: str):
+    c_inf, width, cw = _setup(op, coeff, grid, opts, direction)
+    # centred on the CW midpoint; both bracket ends clear the guard band by
+    # one guard, so each reads off the bracket with a certified verdict
+    lam_mid = 0.5 * (cw.lo + cw.hi)
+    half = max(0.5 * width, 0.5 * (cw.hi - cw.lo) + 2.0 * cw.guard)
+    lo, hi = lam_mid - half, lam_mid + half
+    while hi - lo > 2.0 * half:  # rounding must not widen the bracket asked for
+        hi = math.nextafter(hi, lo)
+    # the envelope ends check the configuration: |c|_inf bounds the
+    # eigenvalue, so the bracket lies strictly inside them
+    ends = (-(c_inf + 1.0), c_inf + 1.0, lo, hi)
+    probes = [(lam, _verdict(cw, lam).value, "cw") for lam in ends]
+    if [p[1] for p in probes] != ["converged", "unbounded"] * 2:
         raise BracketError(
-            f"the probe at the initial lower end lambda={lo:.9g} did not "
-            f"converge; -|c|_inf always admits the constant supersolution, so "
-            f"this is a configuration error"
+            f"the envelope ends lambda={ends[0]:.9g} and {ends[1]:.9g} read "
+            f"{probes[0][1]} and {probes[1][1]}, not converged and unbounded; "
+            f"|c|_inf bounds the eigenvalue, so this is a configuration error"
         )
-    verdict, _ = probe(hi)
-    if verdict is not Verdict.UNBOUNDED:
-        raise BracketError(
-            f"the probe at lambda={hi:.9g} > |c|_inf converged; the eigenvalue "
-            f"is bounded by |c|_inf, so this is a configuration error"
-        )
-
-    if cw is None:
-        while hi - lo > width:
-            mid = lo + _SPLIT * (hi - lo)
-            verdict, rep = probe(mid)
-            if verdict is Verdict.CONVERGED:
-                lo, rep_lo = mid, rep
-            else:
-                hi = mid
-        lam_mid = 0.5 * (lo + hi)
-        values = rep_lo.final.values
-    else:
-        # centred on the CW midpoint; both ends clear the guard band by one
-        # guard, so each reads off the bracket with a certified verdict
-        lam_mid = 0.5 * (cw.lo + cw.hi)
-        half = max(0.5 * width, 0.5 * (cw.hi - cw.lo) + 2.0 * cw.guard)
-        lo, hi = lam_mid - half, lam_mid + half
-        probe(lo)
-        probe(hi)
-        values = cw.phi if direction == "up" else -cw.phi
-    phi, res_sup = _eigenfunction(op, coeff, grid, values, direction, lam_mid, width, opts)
+    values = cw.phi if direction == "up" else -cw.phi
+    phi, res_sup = _eigenfunction(op, coeff, grid, values, lam_mid, width, opts)
     return EigenEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
@@ -354,7 +325,7 @@ def _bisect(op, coeff, grid, opts, direction: str):
         residual_sup=res_sup,
         sign="positive" if direction == "up" else "negative",
         probes=probes,
-        cw_bracket=None if cw is None else (cw.lo, cw.hi),
+        cw_bracket=(cw.lo, cw.hi),
     )
 
 
@@ -366,17 +337,14 @@ def lambda_up(
 ) -> EigenEstimate:
     """Bracket the upper principal eigenvalue (positive eigenfunction).
 
-    The ends of [-|c|_inf - 1, |c|_inf + 1] must read convergent and
-    unbounded.  For alpha = 0 the bracket returned is centred on the
-    midpoint of the Collatz-Wielandt bracket [min rho, max rho] of the
-    positive eigenvector phi (module docstring), of width ``bracket_width``
-    unless the rounding guard needs more, and the eigenfunction is phi.
-    Otherwise a golden-split bisection classifies each shift by whether the
-    monotone iteration with g = -1 stays bounded, and the eigenfunction is
-    the final iterate at the certified lower end, normalized.
-    ``residual_sup`` is its eigen-equation residual at the bracket midpoint.
+    The bracket returned is centred on the midpoint of the Collatz-Wielandt
+    bracket [min rho, max rho] of the positive eigenvector phi (module
+    docstring), of width ``bracket_width`` unless that bracket and its
+    rounding guard need more, and the eigenfunction is phi.  The ends of
+    [-|c|_inf - 1, |c|_inf + 1] must read convergent and unbounded off it.
+    ``residual_sup`` is the eigen-equation residual at the bracket midpoint.
     """
-    return _bisect(op, coeff, grid, opts or EigenOptions(), "up")
+    return _estimate(op, coeff, grid, opts or EigenOptions(), "up")
 
 
 def lambda_down(
@@ -387,12 +355,12 @@ def lambda_down(
 ) -> EigenEstimate:
     """Bracket the lower principal eigenvalue (negative eigenfunction).
 
-    Mirror of ``lambda_up``: monotone probes run with g = +1, producing
-    negative decreasing iterates, and the Collatz-Wielandt bracket is that
-    of the reflected operator -F(-p, -X), which swaps the two Pucci kinds,
-    with its eigenvector negated.
+    Mirror of ``lambda_up``: the Collatz-Wielandt bracket is that of the
+    reflected operator -F(-p, -X), which swaps the two Pucci kinds, and the
+    eigenfunction its eigenvector negated.  Its verdicts replay with the
+    monotone iteration with g = +1 (negative decreasing iterates).
     """
-    return _bisect(op, coeff, grid, opts or EigenOptions(), "down")
+    return _estimate(op, coeff, grid, opts or EigenOptions(), "down")
 
 
 def eigenfunction_up(
@@ -404,27 +372,21 @@ def eigenfunction_up(
 ) -> GridFunction:
     """Normalized positive eigenfunction from a certified convergent shift.
 
-    ``lambda_bar_est`` (the certified lower bracket end) is classified as a
-    bisection probe is, and must be convergent.  The eigenfunction is the
-    Collatz-Wielandt eigenvector when alpha = 0, else the final iterate of
-    the monotone iteration with g = -1 at ``lambda_bar_est``, normalized to
-    sup-norm 1.  Its residual at the bracket midpoint is checked against
+    ``lambda_bar_est`` (the certified lower bracket end) must read
+    convergent off the Collatz-Wielandt bracket; a shift above it or within
+    its rounding guard is a ``BracketError``.  The eigenfunction is the
+    Collatz-Wielandt eigenvector, normalized to sup-norm 1.  Its residual at
+    ``lambda_bar_est`` plus half the bracket width is checked against
     ``opts.eig_residual_tol``; an excessive residual is reported via
     ``EigenResidualError`` rather than silently accepted.
     """
     opts = opts or EigenOptions()
-    _, width, g_vals, cw = _probe_setup(op, coeff, grid, opts, "up")
-    verdict, rep, _ = _classify(
-        op, coeff, lambda_bar_est, g_vals, grid, opts, SolveWorkspace(), "up", cw
-    )
-    if verdict is not Verdict.CONVERGED:
+    _, width, cw = _setup(op, coeff, grid, opts, "up")
+    if _verdict(cw, lambda_bar_est) is not Verdict.CONVERGED:
         raise BracketError(
             f"lambda={lambda_bar_est:.9g} is not a certified convergent shift"
         )
-    values = rep.final.values if cw is None else cw.phi
-    phi, _ = _eigenfunction(
-        op, coeff, grid, values, "up", lambda_bar_est + 0.5 * width, width, opts
-    )
+    phi, _ = _eigenfunction(op, coeff, grid, cw.phi, lambda_bar_est + 0.5 * width, width, opts)
     return phi
 
 

@@ -22,11 +22,14 @@ runs the same solve below both principal eigenvalues, where c + lambda may
 change sign but, for alpha = 0, every frozen-policy -L is still a
 nonsingular M-matrix.
 
-The stencil is in flux form for every alpha: w = |s|^alpha s on half nodes,
-s = (u_{i+1} - u_i)/h (floored for alpha < 0), with odd ghost fluxes, so w
-vanishes exactly at r = 0 and r = R, where the solution is only
-C^{1,beta}.  Row i weighs the radial eigenvalue D/(alpha+1), D the flux
-difference over h, and the tangential one M/r_i, M the mean flux (D at
+The stencil is in flux form for every alpha: w = m^alpha s on half nodes,
+s = (u_{i+1} - u_i)/h, with odd ghost fluxes, so w vanishes exactly at
+r = 0 and r = R, where the solution is only C^{1,beta}.  For alpha != 0,
+m is |s| floored at delta = 1e-8 sup|u|/R (1e-8/R at u = 0); delta is
+proportional to u, so the stencil is positively homogeneous of degree
+alpha + 1, which the Collatz-Wielandt bracket of ``eigen`` uses.  Row i
+weighs the radial eigenvalue D/(alpha+1), D the flux difference over h,
+and the tangential one M/r_i, M the mean flux (D at
 r = 0, 0 at r = R; w_{i+1/2}/r_{i+1/2} in rows near the axis where M would
 break monotonicity).  The drift reads M, b/2 on each flux, in the rows
 where that keeps the coefficient of w_{i+1/2} nonnegative and that of
@@ -60,8 +63,8 @@ is the contraction or growth of the change between iterates along phi.
 Below lambda_bar the rate is < 1 and falls as s shrinks, above it the
 rate is > 1 and rises as s shrinks, so the smallest admissible s settles
 or escapes in the fewest steps.  For every lambda >= -|c|_inf - 1 it is at
-most |c|_inf + 1, with equality at lambda = -|c|_inf - 1, the lower end of
-the eigenvalue bisection.
+most |c|_inf + 1, with equality at lambda = -|c|_inf - 1, the lower
+envelope end of the eigenvalue estimates.
 """
 
 from __future__ import annotations
@@ -404,7 +407,8 @@ class _Driver:
         if a != 0.0:
             s = (v[1:] - v[:-1]) / self.h
             vsup = _supabs(v)
-            delta = 1e-8 * (1.0 + vsup / self.grid.R)
+            # proportional to sup|v|, so G is positively homogeneous
+            delta = 1e-8 * (vsup or 1.0) / self.grid.R
             m = gradient_floor(np.abs(s), delta)
             np.multiply(m**a, s, out=wp[1:-1])
             vpow = signed_power(v, a)
@@ -456,8 +460,12 @@ class _Driver:
 
         For alpha = 0 that is the frozen-coefficient operator L with
         L v = G(v) exactly, which makes the Newton steps a policy iteration.
-        With ``terms`` (alpha = 0) each term ``residual`` computes is taken in
-        absolute value, so a band that cancels to 0 keeps its terms' rounding.
+        With ``terms`` each term ``residual`` computes is taken in absolute
+        value, so a band that cancels to 0 keeps its terms' rounding, and
+        |bands| |v| bounds the terms of each row: for alpha != 0 the flux
+        slope is then max(1, alpha + 1) m^alpha / h, which bounds |Phi(s)|
+        and Phi' times the rounding of s over (|v_i| + |v_{i+1}|) / h, and
+        the zero-order band is |c| |v|^alpha.
         """
         s, w_rad, w_tan, m, delta, vsup = aux
         P, Q = self._flux_weights(w_rad, w_tan, terms)
@@ -470,7 +478,9 @@ class _Driver:
             # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at
             # 1e-6 (1 + sup|v|) for alpha > 0; the derivative of the floored
             # Phi for alpha < 0
-            if a > 0.0:
+            if terms:
+                dphi = max(1.0, a + 1.0) * m**a
+            elif a > 0.0:
                 dphi = (a + 1.0) * np.maximum(np.abs(s), 1e-6 * (1.0 + vsup)) ** a
             else:
                 abs_s = np.abs(s)
@@ -482,7 +492,10 @@ class _Driver:
             ql = Q * np.concatenate(((dphi[0],), dphi))
             # zero-order Jacobian (alpha+1) c |v|^alpha, floored away from the
             # |v| = 0 singularity; any negative surrogate is admissible here
-            z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** a
+            if terms:
+                z = -np.abs(self.c_eff) * np.abs(v) ** a
+            else:
+                z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** a
         diag = ql - pr + z
         upper = pr[:-1]
         upper[0] -= ql[0]

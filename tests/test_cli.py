@@ -492,36 +492,70 @@ def test_infeasible_certify_section_is_a_verdict_only_where_read(
     assert (out / artifact).exists()
 
 
-def test_eigen_inner_solve_failure_exits_2_with_diagnostics(tmp_path):
+def test_eigen_inner_solve_failure_exits_2_with_diagnostics(tmp_path, monkeypatch):
+    # a Collatz-Wielandt round whose Newton solve neither converges nor
+    # stops at its floor (here cut to one step) ends the estimate: no
+    # monotone probe stands in for it
+    from dataclasses import replace
+
+    from eigenball.solver import _Driver
+
+    solve = _Driver.solve
+
+    def one_step(self, g, v, opts, *args):
+        return solve(self, g, v, replace(opts, max_iter=1), *args)
+
+    monkeypatch.setattr(_Driver, "solve", one_step)
     cfg = dict(
         BASE_EIGEN,
         operator={"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.5},
         coefficients={"c": "poly:-1,0,-1"},
         grid={"R": 1.0, "N_dim": 2, "n": 101},
-        solver={"max_iter": 1},
         eigen={"bracket_width": 0.05},
     )
     code, out = run_cli(tmp_path, cfg)
     assert code == 2
     failure = json.loads((out / "failure.json").read_text())
-    assert failure["error_type"] == "InnerSolveError"
+    assert failure["error_type"] == "BracketError"
+    assert "Collatz-Wielandt round" in failure["error"]
 
 
-def test_eigen_ambiguous_probe_exits_2_with_diagnostics(tmp_path):
-    # one outer step cannot tell whether the p = 3 iteration at the lower
-    # envelope end settles or blows up
+def test_eigen_accepts_and_ignores_probe_options(tmp_path):
+    # eigen.max_outer and eigen.g_scale bounded the monotone probes, which no
+    # estimate runs: one outer step made this p = 3 estimate ambiguous, and
+    # now the bracket reads off the Collatz-Wielandt bracket
     cfg = dict(
         BASE_EIGEN,
         operator={"kind": "p_laplacian", "p": 3.0},
         coefficients={"c": "const:-1"},
         grid={"R": 1.0, "N_dim": 2, "n": 51},
-        eigen={"max_outer": 1, "bracket_width": 0.1},
+        eigen={"max_outer": 1, "g_scale": 10.0, "bracket_width": 0.1},
+    )
+    with pytest.warns(DeprecationWarning):
+        code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    up = json.loads((out / "eigen.json").read_text())["up"]
+    assert up["cw_lo"] <= 1.0 <= up["cw_hi"]
+    assert up["lambda_lo"] < 1.0 < up["lambda_hi"]
+
+
+def test_eigen_with_strong_drift_on_a_large_ball(tmp_path):
+    # Pucci+ (1, 1) with b = 30 r on R = 10: the Collatz-Wielandt bracket
+    # stays 2.4e2 wide for 141 rounds, while phi's tail falls 100x per
+    # round to 4e-279, then collapses to 2e-10 in 5 more (an
+    # EigenResidualError, exit 2, when the rounds stopped at 50)
+    cfg = dict(
+        BASE_EIGEN,
+        operator={"kind": "pucci_plus", "a": 1.0, "A": 1.0, "alpha": 0.0},
+        coefficients={"b": "poly:0,30", "c": "poly:0.5,0,-3"},
+        grid={"R": 10.0, "N_dim": 2, "n": 401},
     )
     code, out = run_cli(tmp_path, cfg)
-    assert code == 2
-    failure = json.loads((out / "failure.json").read_text())
-    assert failure["error_type"] == "BracketError"
-    assert "ambiguous" in failure["error"]
+    assert code == 0
+    up = json.loads((out / "eigen.json").read_text())["up"]
+    assert up["lambda_lo"] <= 59.8388331 <= up["lambda_hi"]
+    assert up["cw_hi"] - up["cw_lo"] <= 1e-9
+    assert up["lambda_mid"] == pytest.approx(59.8388331, abs=1e-7)
 
 
 def test_solve_general_flag(tmp_path):

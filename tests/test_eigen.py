@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,10 +49,12 @@ def test_eigenfunction_positive_and_normalized():
 
 
 def test_scaling_invariance_of_bracket():
-    # replacing the probe data -1 by -10 leaves the bracket unchanged
+    # the probe data scale g_scale is deprecated and ignored: by homogeneity
+    # it never moved the bracket
     c = lambda r: -1.0 - 0.5 * np.sin(3.0 * r)
     est1 = bracket(LAP, c, g_scale=1.0, bracket_width=0.02)
-    est10 = bracket(LAP, c, g_scale=10.0, bracket_width=0.02)
+    with pytest.warns(DeprecationWarning, match="g_scale"):
+        est10 = bracket(LAP, c, g_scale=10.0, bracket_width=0.02)
     assert est1.lambda_lo == est10.lambda_lo
     assert est1.lambda_hi == est10.lambda_hi
 
@@ -340,6 +344,44 @@ def test_cw_guard_covers_the_rounding_of_cancelling_terms():
         assert abs(Fraction(res[i]) - exact) / phi[i] <= cw.guard, i
 
 
+@pytest.mark.parametrize("alpha, R", [(-0.5, 3.0), (0.5, 3.0), (1.0, 10.0)])
+def test_cw_guard_covers_the_rounding_of_nonzero_alpha_terms(alpha, R):
+    # rho_i = -G(phi)_i / phi_i^{alpha+1} against its value in 200-bit
+    # arithmetic at the same phi and gradient floor delta.  For alpha = 1
+    # row 6 of Pucci- (0.5, 3) has Q = 0 exactly, and on R = 10 phi falls to
+    # 1e-12, so rho_i there is off by 1e10 eps |rho_i|
+    import mpmath
+
+    from eigenball.eigen import _collatz_wielandt
+    from eigenball.solver import _Driver
+
+    op = eb.EllipticOperator.pucci_minus(0.5, 3.0, alpha)
+    coeff = eb.CoefficientField(b=0.0, c=lambda r: -1.0 - r**2, g=-1.0)
+    grid = eb.build_grid(R, 2, 11)
+    cw = _collatz_wielandt(op, coeff, grid, "up")
+    driver = _Driver(op, grid, None, -1.0 - grid.nodes**2)
+    res, (_, w_rad, w_tan, _, delta, _) = driver.residual(0.0, cw.phi)
+    rho = -res / cw.phi ** (alpha + 1.0)
+    with mpmath.workprec(200):
+        mpf = mpmath.mpf
+        phi, h, a, d = [mpf(x) for x in cw.phi], mpf(grid.h), mpf(alpha), mpf(delta)
+
+        def flux(s):
+            m = abs(s) if abs(s) >= d else (s * s + d * d) / (2 * d)
+            return m**a * s
+
+        w = [flux((phi[i + 1] - phi[i]) / h) for i in range(grid.n - 1)]
+        wp = [-w[0]] + w + [-w[-1]]
+        for i in range(grid.n):
+            wr, wl = wp[i + 1], wp[i]
+            exact = (
+                mpf(w_rad[i]) * (wr - wl) / ((a + 1) * h)
+                + mpf(w_tan[i]) * (mpf(driver.tr[i]) * wr + mpf(driver.tl[i]) * wl)
+                + mpf(driver.c_eff[i]) * phi[i] ** (a + 1)
+            )
+            assert abs(mpf(rho[i]) + exact / phi[i] ** (a + 1)) <= cw.guard, i
+
+
 @pytest.mark.parametrize("n", [101, 201, 401])
 @pytest.mark.parametrize(
     "R, c, exact",
@@ -365,21 +407,29 @@ MONOTONE_PROBE_OPS = {
     **NEGATIVE_ALPHA_OPS,
     "p_laplacian_4": eb.EllipticOperator.p_laplacian(4.0),
     "p_laplacian_5": eb.EllipticOperator.p_laplacian(5.0),
+    "pucci_minus_alpha_0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5),
+    "pucci_plus_alpha_0.5": eb.EllipticOperator.pucci_plus(1.0, 2.0, 0.5),
+    "pucci_minus_alpha_1": eb.EllipticOperator.pucci_minus(1.0, 2.0, 1.0),
+    "pucci_plus_alpha_1": eb.EllipticOperator.pucci_plus(1.0, 2.0, 1.0),
 }
 
 
 @pytest.mark.parametrize(
     "name, sign",
     [(name, sign) for name in sorted(NEGATIVE_ALPHA_OPS) for sign in ("up", "down")]
-    + [("p_laplacian_4", "up"), ("p_laplacian_5", "up")],
+    + [("p_laplacian_4", "up"), ("p_laplacian_5", "up")]
+    + [(f"pucci_{kind}_alpha_{a}", "up") for kind in ("minus", "plus") for a in ("0.5", "1")],
 )
 def test_monotone_bracket_ends_replay(name, sign):
-    # alpha != 0 probes are monotone runs whose inner solves stop at the
-    # rounding floor of their own bands; both certified ends replay.  For
-    # alpha >= 2 the bands grow like |u'|^alpha / h^2, so a floor read off
-    # the previous probe's blown-up iterate would accept every probe at once
+    # every alpha != 0 estimate reads its ends off the Collatz-Wielandt
+    # bracket, and both replay with the monotone iteration, whose inner
+    # solves stop at the rounding floor of their own bands.  For alpha >= 2
+    # the bands grow like |u'|^alpha / h^2, so a floor read off an earlier
+    # run's blown-up iterate would accept every step at once
     op = MONOTONE_PROBE_OPS[name]
     est = bracket(op, lambda r: -1.0 - r**2, sign=sign, bracket_width=0.02)
+    assert est.cw_bracket is not None
+    assert {p[2] for p in est.probes} == {"cw"}
     assert np.isfinite([est.lambda_lo, est.lambda_hi]).all()
     assert est.width <= 0.02
     coeff = eb.CoefficientField(b=0.0, c=lambda r: -1.0 - r**2, g=0.0)
@@ -391,27 +441,19 @@ def test_monotone_bracket_ends_replay(name, sign):
         assert rep.monotone, lam
 
 
-def test_probe_in_guard_band_runs_monotone_iteration():
-    from eigenball.eigen import _classify, _CWBracket
-
-    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
-    # a stand-in bracket [0.5, 0.6] with guard 0.1; the true threshold is 1
-    cw = _CWBracket(lo=0.5, hi=0.6, guard=0.1, phi=np.ones(GRID.n))
-    g = np.full(GRID.n, -1.0)
-    args = (GRID, eb.EigenOptions(), eb.SolveWorkspace(), "up", cw)
-    verdict, rep, how = _classify(LAP, coeff, 0.45, g, *args)
-    assert (verdict, how) == (eb.Verdict.CONVERGED, "monotone")
-    assert rep.verdict is eb.Verdict.CONVERGED
-    verdict, rep, how = _classify(LAP, coeff, 0.35, g, *args)
-    assert (verdict, rep, how) == (eb.Verdict.CONVERGED, None, "cw")
-    verdict, rep, how = _classify(LAP, coeff, 0.75, g, *args)
-    assert (verdict, rep, how) == (eb.Verdict.UNBOUNDED, None, "cw")
-
-
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("sign", ["up", "down"])
 @pytest.mark.parametrize(
-    "op", [LAP, eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)], ids=["laplacian", "pucci_minus"]
+    "op",
+    [
+        LAP,
+        eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0),
+        eb.EllipticOperator.p_laplacian(3.0),
+        eb.EllipticOperator.pucci_minus(1.0, 2.0, -0.5),
+        eb.EllipticOperator.pucci_plus(1.0, 2.0, 1.0),
+    ],
+    ids=["laplacian", "pucci_minus", "p_laplacian_3", "pucci_minus_alpha_-0.5",
+         "pucci_plus_alpha_1"],
 )
 def test_cw_estimate_makes_no_monotone_run(monkeypatch, op, sign, N):
     from eigenball import eigen
@@ -431,23 +473,20 @@ def test_cw_estimate_makes_no_monotone_run(monkeypatch, op, sign, N):
     assert {p[2] for p in est.probes} == {"cw"}
 
 
-def test_envelope_end_in_cw_guard_band_runs_monotone_iteration(monkeypatch):
+def test_envelope_end_in_cw_guard_band_raises_bracket_error(monkeypatch):
     # a guard wide enough to cover the upper end |c|_inf + 1 = 2 leaves that
-    # end undecided by the bracket, so the configuration check runs it
+    # end undecided by the bracket; no monotone run stands in for it
     from dataclasses import replace
 
     from eigenball import eigen
 
     original = eigen._collatz_wielandt
     monkeypatch.setattr(eigen, "_collatz_wielandt", lambda *a: replace(original(*a), guard=1.5))
-    est = bracket(LAP, -1.0)
-    assert est.probes[0] == (-2.0, "converged", "cw")
-    assert est.probes[1] == (2.0, "unbounded", "monotone")
-    # the bracket centred on the CW midpoint widens past that guard band, so
-    # both of its ends still read off the bracket
-    assert est.lambda_lo < 1.0 - 1.5 and est.lambda_hi > 1.0 + 1.5
-    assert est.probes[2:] == [(est.lambda_lo, "converged", "cw"),
-                              (est.lambda_hi, "unbounded", "cw")]
+    with pytest.raises(eb.BracketError, match="rounding guard"):
+        bracket(LAP, -1.0)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=0.0)
+    with pytest.raises(eb.BracketError, match="rounding guard"):
+        eb.eigenfunction_up(LAP, coeff, 0.0, GRID)
     # a bracket that places the upper end below the threshold fails the check
     monkeypatch.setattr(eigen, "_collatz_wielandt",
                         lambda *a: replace(original(*a), lo=5.0, hi=5.0))
@@ -466,14 +505,27 @@ def test_eigen_options_reject_bad_values(kw):
         eb.EigenOptions(**kw)
 
 
-def test_nonzero_alpha_uses_only_monotone_probes():
+def test_probe_only_options_are_deprecated():
+    for name, value in (("g_scale", 2.0), ("max_outer", 1), ("inner_max_iter", 1),
+                        ("U_max", 10.0)):
+        with pytest.warns(DeprecationWarning, match=name):
+            eb.EigenOptions(**{name: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eb.EigenOptions(bracket_width=0.1, tol=1e-8, eig_residual_tol=1.0)
+
+
+def test_nonzero_alpha_uses_only_cw_probes():
+    # c = -1 has lambda = 1 with eigenfunction 1 for every operator: the
+    # envelope ends and the bracket ends read off the bracket
     op = eb.EllipticOperator.p_laplacian(3.0)
     est = bracket(op, -1.0, grid=eb.build_grid(1.0, 2, 51), bracket_width=0.1)
-    assert est.cw_bracket is None
-    assert est.summary()["cw_lo"] is None and est.summary()["cw_hi"] is None
-    assert {p[2] for p in est.probes} == {"monotone"}
-    assert len(est.probes) == 9
+    cw_lo, cw_hi = est.cw_bracket
+    assert (est.summary()["cw_lo"], est.summary()["cw_hi"]) == (cw_lo, cw_hi)
+    assert cw_lo <= 1.0 <= cw_hi and cw_hi - cw_lo <= 1e-8
+    assert [p[2] for p in est.probes] == ["cw"] * 4
     assert est.lambda_lo < 1.0 < est.lambda_hi
+    assert np.abs(est.eigenfunction.values - 1.0).max() < 1e-9
 
 
 def rayleigh_minimum(p, c, grid):
@@ -491,7 +543,7 @@ def rayleigh_minimum(p, c, grid):
         s = np.diff(u) / h
         den = vol @ u**p
         q = (flux_w @ np.abs(s) ** p - cvol @ u**p) / den
-        ds = p * flux_w * np.abs(s) ** (p - 2) * s / h
+        ds = p * flux_w * np.abs(s) ** (p - 1) * np.sign(s) / h
         dq = p * (-cvol - q * vol) * u ** (p - 1)
         dq[:-1] -= ds
         dq[1:] += ds
@@ -514,26 +566,22 @@ def test_plaplacian_bracket_contains_rayleigh_minimum():
     assert est.lambda_lo <= ref <= est.lambda_hi
 
 
-def test_plaplacian_bracket_takes_few_outer_steps(monkeypatch):
-    # the smallest admissible shift speeds up every monotone probe without
-    # moving a verdict: the same bracket as with the shift |c|_inf + 1, which
-    # took 25,262 outer steps
-    from eigenball import eigen
+@pytest.mark.parametrize("n", [101, 201, 401])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 5.0])
+def test_plaplacian_cw_bracket_meets_rayleigh_minimum(p, n):
+    # the Collatz-Wielandt bracket of the flux form matches the discrete
+    # Rayleigh minimum up to the boundary row r = R (1.1e-5 at n = 101 for
+    # p = 3) and the optimizer's tolerance
+    def c(r):
+        return -1.0 - r**2
 
-    original = eigen.monotone_iteration
-    steps = []
-
-    def counted(*args, **kwargs):
-        rep = original(*args, **kwargs)
-        steps.append(rep.iterations)
-        return rep
-
-    monkeypatch.setattr(eigen, "monotone_iteration", counted)
-    est = bracket(eb.EllipticOperator.p_laplacian(3.0), lambda r: -1.0 - r**2,
-                  bracket_width=0.02)
-    assert (est.lambda_lo, est.lambda_hi) == (1.4558747174880124, 1.4745084375788635)
-    assert len(steps) == len(est.probes)
-    assert sum(steps) <= 10_000
+    grid = eb.build_grid(1.0, 2, n)
+    ref = rayleigh_minimum(p, c, grid)
+    est = bracket(eb.EllipticOperator.p_laplacian(p), c, grid=grid, bracket_width=0.02)
+    cw_lo, cw_hi = est.cw_bracket
+    assert est.lambda_lo <= ref <= est.lambda_hi
+    assert cw_lo - 2e-5 <= ref <= cw_hi + 2e-5
+    assert est.width <= 0.02
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
