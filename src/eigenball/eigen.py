@@ -32,8 +32,8 @@ tridiagonal solve with the bands of phi's policy, which reproduce G(phi)
 exactly (Howard policy iteration); otherwise Newton steps
 (``solver._Driver.solve``) from t phi, t = (mid - sigma)^{-1/(alpha+1)}, mid
 the bracket midpoint.  Rounds stop at a bracket narrower than
-1e-9 (1 + |c|_inf) or the guard, at a round that moves phi by no more than
-rounding (a Newton solve that ends where it started), or after
+1e-9 (1 + |c|_inf) or twice the guard, at a round that moves phi by no
+more than rounding (a Newton solve that ends where it started), or after
 ``_CW_MAX_ROUNDS``.  The guard resolves each rho_i to
 ``solver._rounding`` of the terms of row i over phi_i^{alpha+1}.
 
@@ -44,22 +44,21 @@ read convergent and unbounded off the bracket, which check the
 configuration, and the estimate is centred on the bracket's midpoint.  An
 end read contrary to the theory or within the guard, and a round that
 fails, are a ``BracketError``; no estimate runs the monotone iteration, and
-each verdict can be replayed with it.
+each verdict can be replayed with it.  ``solve_general`` reads its
+envelopes off the brackets of both eigenvalues in the same way.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .grid import GridFunction, RadialGrid
 from .operators import CoefficientField, EllipticOperator, sample_profile
-# unused here, but the benchmark's tracer wraps eigenball.eigen.signed_power
-from .operators import signed_power  # noqa: F401
 from .solver import (
     PreconditionError,
     SolveOptions,
@@ -70,9 +69,11 @@ from .solver import (
     _rounding,
     _solve_report,
     _TriFactor,
-    monotone_iteration,
     residual,
 )
+# unused here, but the benchmark's tracer wraps these eigenball.eigen names
+from .operators import signed_power  # noqa: F401
+from .solver import monotone_iteration  # noqa: F401
 
 __all__ = [
     "EigenOptions",
@@ -236,7 +237,7 @@ def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol) -> _CWBr
         lo, hi = float(rho.min()), float(rho.max())
         # rho_i carries the rounding of the terms of row i over phi_i^{alpha+1}
         guard = float((_rounding(driver._bands(phi, aux, terms=True), phi) / phi_a1).max())
-        if stalled or hi - lo <= max(width, guard) or rounds == _CW_MAX_ROUNDS:
+        if stalled or hi - lo <= max(width, 2.0 * guard) or rounds == _CW_MAX_ROUNDS:
             return _CWBracket(lo, hi, guard, phi)
         sigma = lo - max((hi - lo) / 100.0, 2.0 * guard)
         psi = _inverse_step(driver, phi, phi_a1, aux, sigma, 0.5 * (lo + hi), inner)
@@ -400,17 +401,19 @@ def solve_general(
 ) -> SolveReport:
     """Solve the Neumann problem for sign-changing data below both thresholds.
 
-    Requires lambda below the certified lower ends of both eigenvalue
-    brackets (the caller's contract).  Builds the negative solution u0 for
-    data |g|_inf and the positive solution v0 for data -|g|_inf by
-    ``monotone_iteration``; either envelope failing to converge is a
-    ``PreconditionError``.  u itself is one Newton solve of the full
-    problem (``solver._Driver.solve`` with c + lambda, which may change sign
-    here) started at u0, so ``iterations`` and ``rejected`` count Newton
-    steps as for ``solve_neumann``.  u must lie inside the sandwich
-    [u0 - slack, v0 + slack]; an escape is reported as a discrete sandwich
-    violation (``sandwich_ok=False``, ``converged=False``), not silently
-    accepted.
+    lambda must lie below lo - guard of the Collatz-Wielandt brackets of
+    both eigenvalues (``opts.tol`` is the residual tolerance of their
+    alpha != 0 rounds), or the solve raises a ``PreconditionError`` naming
+    the bracket.  With t^{alpha+1} = |g|_inf / ((lo - guard - lambda)
+    min(phi)^{alpha+1}), homogeneity and rho >= lo - guard make v0 = t phi
+    of the upper eigenvalue a supersolution and u0 = -t phi of the lower
+    one a subsolution: a sandwich looser than the solutions for data
+    -|g|_inf and |g|_inf, but valid by comparison.  u is one Newton solve
+    of the full problem (``solver._Driver.solve`` with c + lambda, which
+    may change sign here) started at u0, so ``iterations`` and ``rejected``
+    count Newton steps as for ``solve_neumann``.  A u outside
+    [u0 - slack, v0 + slack] is reported as a discrete sandwich violation
+    (``sandwich_ok=False``, ``converged=False``), not silently accepted.
     """
     opts = opts if opts is not None else SolveOptions()
     r = grid.nodes
@@ -418,29 +421,22 @@ def solve_general(
     g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
     g_sup = float(np.max(np.abs(g)))
 
-    mono_opts = replace(opts, workspace=None)
-    rep_v0 = monotone_iteration(
-        op, coeff, lam, np.full(grid.n, -g_sup), grid, mono_opts, direction="up"
-    )
-    if rep_v0.verdict is not Verdict.CONVERGED:
-        raise PreconditionError(
-            f"solve_general: positive envelope did not converge at "
-            f"lambda={lam:.9g} (verdict {rep_v0.verdict.value}); lambda must "
-            f"lie below the upper-eigenvalue bracket"
-        )
-    rep_u0 = monotone_iteration(
-        op, coeff, lam, np.full(grid.n, g_sup), grid, mono_opts, direction="down"
-    )
-    if rep_u0.verdict is not Verdict.CONVERGED:
-        raise PreconditionError(
-            f"solve_general: negative envelope did not converge at "
-            f"lambda={lam:.9g} (verdict {rep_u0.verdict.value}); lambda must "
-            f"lie below the lower-eigenvalue bracket"
-        )
+    envelopes = []
+    for direction in ("up", "down"):
+        cw = _collatz_wielandt(op, coeff, grid, direction, opts.tol)
+        gap = cw.lo - cw.guard - lam
+        if not gap > 0.0:
+            raise PreconditionError(
+                f"solve_general: lambda={lam:.9g} does not lie below the {direction} "
+                f"Collatz-Wielandt bracket [{cw.lo:.9g}, {cw.hi:.9g}] less its "
+                f"rounding guard {cw.guard:.3e}"
+            )
+        t = (g_sup / gap) ** (1.0 / (op.alpha + 1.0)) / float(cw.phi.min())
+        envelopes.append(t * cw.phi)
+    v0, u0 = envelopes[0], -envelopes[1]
 
-    v0, u0 = rep_v0.final.values, rep_u0.final.values
-    # Newton starts at u0, a lower bound on the scale of u: from 0, p = 3
-    # just below the threshold stalls at a residual of 2e2
+    # Newton starts at u0: from 0, p = 3 just below the threshold stalls at
+    # a residual of 2e2, and from v0 Pucci- with alpha > 0 runs to max_iter
     driver = _Driver(op, grid, b, c + lam, opts.workspace)
     report = _solve_report(driver, g, u0, opts)
     u = report.solution.values

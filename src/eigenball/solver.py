@@ -48,9 +48,9 @@ central stencil, except in the one-sided and upwind rows.
 
 whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
-(direction="down") they decrease.  ``eigen.solve_general`` runs it only
-for its two envelopes, and solves for u by the Newton solve above, started
-at the negative envelope; its inner solves stop at ``_floor`` too.
+(direction="down") they decrease.  Its inner solves stop at ``_floor``
+too.  Neither the eigen estimates nor ``eigen.solve_general`` run it; the
+estimates' verdicts replay with it.
 
 The dichotomy needs two facts about the shift s, and s is the smallest
 that gives both: c - s <= -1, so every inner problem is coercive with the

@@ -206,8 +206,8 @@ NEAR_THRESHOLD_OPS = {
 
 @pytest.mark.parametrize("name", sorted(NEAR_THRESHOLD_OPS))
 def test_solve_general_converges_near_the_threshold(name):
-    # with c = -1 both principal eigenvalues are 1 for every operator, and the
-    # fixed point the envelopes run contracts at the rate 0.99 at lambda = 0.99
+    # with c = -1 both principal eigenvalues are 1 for every operator, with
+    # eigenfunction 1, so the envelopes are the constants -+|g|_inf / 0.01
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=lambda r: np.sin(3.0 * r) - 0.2)
     opts = eb.SolveOptions(tol=1e-7)
     rep = eb.solve_general(NEAR_THRESHOLD_OPS[name], coeff, 0.99, None, GRID, opts)
@@ -232,6 +232,10 @@ def test_solve_general_where_c_plus_lambda_vanishes(name, g):
     assert rep.residual_sup <= opts.tol
 
 
+SIGN_CHANGING = eb.CoefficientField(
+    b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: np.sin(3.0 * r) - 0.2
+)
+
 NEGATIVE_ALPHA_OPS = {
     "p_laplacian_1.5": eb.EllipticOperator.p_laplacian(1.5),
     "pucci_minus_alpha_-0.5": eb.EllipticOperator.pucci_minus(1.0, 2.0, -0.5),
@@ -242,11 +246,9 @@ NEGATIVE_ALPHA_OPS = {
 @pytest.mark.parametrize("name", sorted(NEGATIVE_ALPHA_OPS))
 def test_solve_general_with_negative_alpha(name):
     # the delta^alpha factor of the gradient floor amplifies the bands, so
-    # the envelopes' inner solves stop at their own rounding floor, above
-    # tol/10 (an InnerSolveError at step 1 when the floor ignored it)
-    coeff = eb.CoefficientField(
-        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: np.sin(3.0 * r) - 0.2
-    )
+    # the Newton solves of the Collatz-Wielandt rounds stop at their own
+    # rounding floor
+    coeff = SIGN_CHANGING
     opts = eb.SolveOptions(tol=1e-7)
     grid = eb.build_grid(1.0, 2, 401)
     rep = eb.solve_general(NEGATIVE_ALPHA_OPS[name], coeff, 0.0, None, grid, opts)
@@ -258,6 +260,65 @@ def test_solve_general_rejects_shift_above_threshold():
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=1.0)
     with pytest.raises(eb.PreconditionError):
         eb.solve_general(LAP, coeff, 1.5, None, GRID)
+
+
+def _count_monotone_runs(monkeypatch):
+    """Wrap monotone_iteration where the solver and eigen modules bind it;
+    the list returned records every call."""
+    from eigenball import eigen, solver
+
+    calls = []
+    for module in (solver, eigen):
+        original = module.monotone_iteration
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "monotone_iteration", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
+def test_solve_general_makes_no_monotone_run(monkeypatch, alpha):
+    calls = _count_monotone_runs(monkeypatch)
+    coeff = SIGN_CHANGING
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, alpha)
+    rep = eb.solve_general(op, coeff, 0.0, None, GRID, eb.SolveOptions(tol=1e-7))
+    assert rep.converged and rep.sandwich_ok
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0),
+        eb.EllipticOperator.p_laplacian(3.0),
+        eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5),
+    ],
+    ids=["pucci_minus", "p_laplacian_3", "pucci_minus_alpha_0.5"],
+)
+def test_solve_general_converges_0_001_below_the_smaller_eigenvalue(op):
+    # this close to the threshold u is nearly a multiple of the eigenvector,
+    # so the Newton solve from the subsolution U = -t phi needs a few steps
+    grid = eb.build_grid(1.0, 2, 401)
+    coeff = SIGN_CHANGING
+    lam = min(eb.lambda_up(op, coeff, grid).lambda_lo,
+              eb.lambda_down(op, coeff, grid).lambda_lo) - 0.001
+    rep = eb.solve_general(op, coeff, lam, None, grid, eb.SolveOptions(tol=1e-7))
+    assert rep.converged and rep.sandwich_ok
+    assert rep.iterations <= 4
+
+
+def test_solve_general_names_the_bracket_above_the_shift():
+    # Pucci- (1, 2) on c = -1 - r^2 has lambda_bar_- ~ 1.384 < 1.5 <
+    # lambda_bar_+ ~ 1.613: only the down bracket rules the shift out
+    coeff = SIGN_CHANGING
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)
+    assert eb.lambda_down(op, coeff, GRID).lambda_hi < 1.5
+    assert eb.lambda_up(op, coeff, GRID).lambda_lo > 1.5
+    with pytest.raises(eb.PreconditionError, match="below the down Collatz-Wielandt bracket"):
+        eb.solve_general(op, coeff, 1.5, None, GRID)
 
 
 # ------------------------ Collatz-Wielandt classifier -------------------------
@@ -456,21 +517,32 @@ def test_monotone_bracket_ends_replay(name, sign):
          "pucci_plus_alpha_1"],
 )
 def test_cw_estimate_makes_no_monotone_run(monkeypatch, op, sign, N):
-    from eigenball import eigen
-
-    original = eigen.monotone_iteration
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(eigen, "monotone_iteration", counted)
+    calls = _count_monotone_runs(monkeypatch)
     est = bracket(op, lambda r: -1.0 - r**2, grid=eb.build_grid(1.0, N, 101), sign=sign,
                   bracket_width=0.02)
     assert est.cw_bracket is not None
     assert calls == []
     assert {p[2] for p in est.probes} == {"cw"}
+
+
+def test_cw_rounds_stop_within_twice_the_guard(monkeypatch):
+    # round 1 leaves this alpha = -0.5 bracket within 1.5 guards, inside the
+    # rounding of rho; a second round crept for 4,852 Newton steps
+    from eigenball import solver
+
+    original = solver._Driver.solve
+    steps = []
+
+    def counted(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        steps.append(out[5])
+        return out
+
+    monkeypatch.setattr(solver._Driver, "solve", counted)
+    est = bracket(eb.EllipticOperator.pucci_minus(1.0, 2.0, -0.5), lambda r: -1.0 - r**2,
+                  grid=eb.build_grid(1.0, 3, 401))
+    assert est.lambda_lo < est.lambda_hi
+    assert sum(steps) <= 50
 
 
 def test_envelope_end_in_cw_guard_band_raises_bracket_error(monkeypatch):
