@@ -50,12 +50,7 @@ from .operators import (
     poly_profile,
     table_profile,
 )
-from .solver import (
-    InnerSolveError,
-    PreconditionError,
-    SolveOptions,
-    solve_neumann,
-)
+from .solver import PreconditionError, SolveOptions, solve_neumann
 
 __all__ = ["ConfigError", "main", "run"]
 
@@ -63,7 +58,6 @@ COMMANDS = ("solve", "eigen", "certify", "sweep", "check-operator")
 
 _COMPUTE_ERRORS = (
     PreconditionError,
-    InnerSolveError,
     BracketError,
     EigenResidualError,
     InfeasibleParams,
@@ -265,15 +259,19 @@ def _parse_options(cfg: dict):
     if command in ("solve", "eigen"):
         s = _section(cfg, "solver")
         tol = _number(s.get("tol", 1e-9), "solver: tol")
-        max_iter = _integer(s.get("max_iter", 20000), "solver: max_iter")
-        U_max = _number(s.get("U_max", 1e6), "solver: U_max")
     if command == "solve":
         if "lambda" not in s:
             raise ConfigError("solver: solve command needs solver.lambda")
         general = s.get("general", False)
         if not isinstance(general, bool):
             raise ConfigError("solver: general must be true or false")
-        opts = SolveOptions(tol=tol, max_iter=max_iter, U_max=U_max)
+        opts = _checked(
+            "solver",
+            SolveOptions,
+            tol=tol,
+            max_iter=_integer(s.get("max_iter", 20000), "solver: max_iter"),
+            U_max=_number(s.get("U_max", 1e6), "solver: U_max"),
+        )
         return opts, _number(s["lambda"], "solver: lambda"), general
     if command == "eigen":
         e = _section(cfg, "eigen")
@@ -285,15 +283,11 @@ def _parse_options(cfg: dict):
         if sign not in ("up", "down", "both"):
             raise ConfigError(f"eigen: sign must be up/down/both, got {sign!r}")
         opts = _checked(
-            "eigen",
+            "solver/eigen",
             EigenOptions,
             bracket_width=optional("bracket_width"),
-            g_scale=_number(e.get("g_scale", 1.0), "eigen: g_scale"),
             eig_residual_tol=optional("eig_residual_tol"),
             tol=tol,
-            max_outer=_integer(e.get("max_outer", 400_000), "eigen: max_outer"),
-            inner_max_iter=max_iter,
-            U_max=U_max,
         )
         return opts, sign
     if command == "check-operator":

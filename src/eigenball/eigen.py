@@ -51,8 +51,7 @@ envelopes off the brackets of both eigenvalues in the same way.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -93,9 +92,6 @@ _CW_REL_WIDTH = 1e-9
 _CW_STALL = 8.0 * np.finfo(float).eps
 _CW_MAX_ROUNDS = 1000
 
-# EigenOptions fields that bounded the monotone probes, which no estimate runs
-_PROBE_ONLY = ("g_scale", "max_outer", "inner_max_iter", "U_max")
-
 
 class BracketError(RuntimeError):
     """An envelope end read contrary to the theory (configuration error), a
@@ -122,33 +118,18 @@ class EigenOptions:
     ``bracket_width`` defaults to 1e-3 (1 + |c|_inf).  ``eig_residual_tol``
     bounds the reported eigen-equation residual at the bracket midpoint and
     defaults to 20x the bracket width.  ``tol`` is the residual tolerance of
-    the alpha != 0 Collatz-Wielandt rounds.  ``g_scale``, ``max_outer``,
-    ``inner_max_iter`` and ``U_max`` bounded the monotone probes, which no
-    estimate runs: they are checked and ignored, with a
-    ``DeprecationWarning`` for a value other than the default.
+    the alpha != 0 Collatz-Wielandt rounds.  Each one given must be > 0.
     """
 
     bracket_width: Optional[float] = None
-    g_scale: float = 1.0
     eig_residual_tol: Optional[float] = None
     tol: float = 1e-9
-    max_outer: int = 400_000
-    inner_max_iter: int = 20000
-    U_max: float = 1e6
 
     def __post_init__(self):
-        if not (math.isfinite(self.g_scale) and self.g_scale > 0):
-            raise ValueError(f"g_scale must be finite and > 0, got {self.g_scale!r}")
-        if self.bracket_width is not None and not self.bracket_width > 0:
-            raise ValueError(f"bracket_width must be > 0, got {self.bracket_width!r}")
-        for field in fields(self):
-            if field.name in _PROBE_ONLY and getattr(self, field.name) != field.default:
-                warnings.warn(
-                    f"EigenOptions.{field.name} is ignored: it bounded the monotone "
-                    f"probes, which no eigenvalue estimate runs",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
+        for name in ("bracket_width", "eig_residual_tol", "tol"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
     def resolved_width(self, c_inf: float) -> float:
         if self.bracket_width is not None:
@@ -437,7 +418,7 @@ def solve_general(
 
     # Newton starts at u0: from 0, p = 3 just below the threshold stalls at
     # a residual of 2e2, and from v0 Pucci- with alpha > 0 runs to max_iter
-    driver = _Driver(op, grid, b, c + lam, opts.workspace)
+    driver = _Driver(op, grid, b, c + lam)
     report = _solve_report(driver, g, u0, opts)
     u = report.solution.values
     slack = max(100.0 * opts.tol, 1e-12 * (1.0 + g_sup))

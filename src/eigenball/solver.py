@@ -63,8 +63,7 @@ is the contraction or growth of the change between iterates along phi.
 Below lambda_bar the rate is < 1 and falls as s shrinks, above it the
 rate is > 1 and rises as s shrinks, so the smallest admissible s settles
 or escapes in the fewest steps.  For every lambda >= -|c|_inf - 1 it is at
-most |c|_inf + 1, with equality at lambda = -|c|_inf - 1, the lower
-envelope end of the eigenvalue estimates.
+most |c|_inf + 1, with equality at lambda = -|c|_inf - 1.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ import importlib.util
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,48 +213,33 @@ class SolveOptions:
     """Options for ``solve_neumann``, ``monotone_iteration`` and
     ``solve_general``.
 
-    ``tol`` is an absolute sup-norm residual (solve) or sup-norm change
-    (iteration) tolerance.  ``initial`` is the starting iterate of
+    ``tol`` (> 0) is an absolute sup-norm residual (solve) or sup-norm
+    change (iteration) tolerance.  ``initial`` is the starting iterate of
     ``solve_neumann`` (zeros by default), a node array or GridFunction on
     its grid; ``monotone_iteration`` and ``solve_general`` start from their
-    own iterates and ignore it.  A ``workspace`` carries the factorization
-    state between related solves; a solve owns its workspace, so concurrent
-    solves must not share one.
+    own iterates and ignore it.  ``workspace`` is ignored, with a
+    ``DeprecationWarning`` when given: each solve caches its own factors.
     """
 
     tol: float = 1e-9
     max_iter: int = 20000
     U_max: float = 1e6
     initial: object = None
-    inner_max_iter: int = 20000
     workspace: Optional["SolveWorkspace"] = None
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if self.workspace is not None:
+            warnings.warn(
+                "SolveOptions.workspace is ignored: each solve caches its own factors",
+                DeprecationWarning,
+                stacklevel=3,
+            )
 
 
 class SolveWorkspace:
-    """Mutable cache shared by consecutive solves of the same frozen problem."""
-
-    __slots__ = ("grid", "op", "b_ref", "c_ref", "pattern", "factor")
-
-    def __init__(self):
-        self.grid = None
-        self.op = None
-        self.b_ref = None
-        self.c_ref = None
-        self.pattern = None
-        self.factor = None
-
-    def rebind(self, grid, op, b, c_eff):
-        same = (
-            self.grid is grid
-            and self.op is op
-            and (self.b_ref is b or np.array_equal(self.b_ref, b))
-            and (self.c_ref is c_eff or np.array_equal(self.c_ref, c_eff))
-        )
-        if not same:
-            self.pattern = None
-            self.factor = None
-        self.grid, self.op = grid, op
-        self.b_ref, self.c_ref = b, c_eff
+    """Ignored by every solve (``SolveOptions.workspace``)."""
 
 
 @dataclass
@@ -320,25 +305,24 @@ class _Driver:
 
     Owns the node samples of b and c + lambda, the parts of the bands that
     do not depend on the iterate (weights, tangential and drift flux
-    coefficients, zero-order factor), and the workspace.  All heavy
+    coefficients, zero-order factor), and the factor of the last bands with
+    the policy it is keyed by (``_factor``).  All heavy
     per-step work (residual, bands, factor) happens here so the iteration
     layers above stay thin.
     """
 
     __slots__ = (
-        "op", "grid", "b", "c_eff", "zc", "ws", "alpha", "n", "h", "r", "N",
+        "op", "grid", "b", "c_eff", "zc", "alpha", "n", "h", "r", "N",
         "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "br", "bl",
-        "last_bands",
+        "pattern", "factor",
     )
 
-    def __init__(self, op, grid, b, c_eff, ws=None):
+    def __init__(self, op, grid, b, c_eff):
         self.op = op
         self.grid = grid
         self.b = b if (b is not None and np.any(b)) else None
         self.c_eff = c_eff
-        self.ws = ws if ws is not None else SolveWorkspace()
-        self.ws.rebind(grid, op, self.b, c_eff)
-        self.last_bands = None
+        self.pattern = self.factor = None
         self.alpha = op.alpha
         self.n = grid.n
         self.h = grid.h
@@ -506,17 +490,15 @@ class _Driver:
     def _factor(self, v, aux):
         """LU factor of the bands at v, None when they are singular; alpha = 0
         bands depend on v only through the policy (w_rad, w_tan), so their
-        factor is cached in the workspace and keyed by it."""
-        ws = self.ws
+        factor is kept and keyed by it."""
         pattern = np.concatenate(aux[1:3]).tobytes() if self.alpha == 0.0 else None
-        if pattern is None or ws.pattern != pattern:
+        if pattern is None or self.pattern != pattern:
             try:
-                ws.factor = _TriFactor(*self._bands(v, aux))
+                self.factor = _TriFactor(*self._bands(v, aux))
             except np.linalg.LinAlgError:
                 return None
-            ws.pattern = pattern
-        self.last_bands = ws.factor.bands
-        return ws.factor
+            self.pattern = pattern
+        return self.factor
 
     # -- solver -------------------------------------------------------------
 
@@ -709,7 +691,7 @@ def solve_neumann(
             f"violated at {bad.size} node(s): {shown}{more}"
         )
     c0 = float(-np.max(c_eff))
-    driver = _Driver(op, grid, b, c_eff, opts.workspace)
+    driver = _Driver(op, grid, b, c_eff)
     report = _solve_report(driver, g, _initial_array(opts, grid.n), opts)
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo
@@ -763,8 +745,8 @@ def monotone_iteration(
     shift = max(float(np.max(c)) + 1.0, -lam)
     factor = lam + shift
     g_sup = float(np.max(np.abs(g)))
-    driver = _Driver(op, grid, b, c - shift, opts.workspace)
-    inner = SolveOptions(max_iter=opts.inner_max_iter)
+    driver = _Driver(op, grid, b, c - shift)
+    inner = SolveOptions()
     u = np.zeros(grid.n)
     sup = unit = 0.0
     res = aux = g_prev = seen = None
@@ -786,11 +768,11 @@ def monotone_iteration(
         # bound is enough for tolerance/limit scaling
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
         # _floor at u of the bands of this run's last Newton step (0 before
-        # it; never an earlier run's, whose iterate may have escaped far),
-        # ||L||_inf taken again only when they change (per policy at alpha = 0)
-        if driver.last_bands is not seen:
-            seen = driver.last_bands
-            unit = float(_rounding(seen).max())
+        # it), ||L||_inf taken again only when the factor changes (per policy
+        # at alpha = 0)
+        if driver.factor is not seen:
+            seen = driver.factor
+            unit = float(_rounding(seen.bands).max())
         inner.tol = max(opts.tol / 10.0 * g_scale, unit * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
         u_new, res, aux, rs, bands, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)

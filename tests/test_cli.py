@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,7 +155,6 @@ MALFORMED_TABLES = {
     [
         _with(BASE_EIGEN, "eigen.bracket_width", 0),
         _with(BASE_EIGEN, "eigen.bracket_width", "abc"),
-        _with(BASE_EIGEN, "eigen.g_scale", 0),
         _with(BASE_EIGEN, "eigen.sign", "sideways"),
         dict(BASE_EIGEN, eigen=["up"]),
         _with(BASE_SOLVE, "solver.tol", "x"),
@@ -203,25 +203,36 @@ MALFORMED_TABLES = {
         _with(BASE_SOLVE, "grid.n", 100.7),
         _with(BASE_SOLVE, "grid.N_dim", 2.9),
         _with(BASE_SOLVE, "solver.max_iter", 2.5),
-        _with(BASE_EIGEN, "eigen.max_outer", 2.5),
         _with(BASE_CHECK, "check.samples", 2.5),
         dict(BASE_SOLVE, seed=1.5),
         _with(BASE_SOLVE, "solver.lambda", float("nan")),
         _with(BASE_SOLVE, "solver.tol", float("nan")),
+        # a negative tol made the solve's barrier bound complex (a traceback
+        # and a partial report.json), a non-positive eigen one exit 2
+        dict(
+            BASE_SOLVE,
+            operator={"kind": "pucci_minus", "a": 1.0, "A": 2.0, "alpha": 0.5},
+            coefficients={"c": "poly:-1,0,-1", "g": "const:-1"},
+            solver={"lambda": 0.0, "tol": -1},
+        ),
+        dict(BASE_EIGEN, solver={"tol": 0}),
+        _with(BASE_EIGEN, "eigen.eig_residual_tol", 0),
+        _with(BASE_EIGEN, "eigen.eig_residual_tol", -1),
         _with(BASE_SOLVE, "coefficients.c", "table:radii-unsorted.csv"),
         _with(BASE_SOLVE, "coefficients.c", "table:cell-abc.csv"),
     ],
     ids=[
-        "width-0", "width-abc", "g_scale-0", "sign", "eigen-list", "tol",
+        "width-0", "width-abc", "sign", "eigen-list", "tol",
         "solver-int", "sweep-grid-n", "sweep-workers", "check-samples",
         "coefficients-list", "general-string", "seed-string", "seed-negative",
         "certify-rho-negative", "certify-rho-nan", "certify-eps-alone",
         "anisotropic-b1-outside", "sweep-scalar", "sweep-workers-fraction",
         "sweep-base-scalar", "sweep-parameter-scalar", "sweep-path-number",
         "sweep-path-through-scalar", "grid-n-fraction", "N_dim-fraction",
-        "max_iter-fraction", "max_outer-fraction", "samples-fraction",
-        "seed-fraction", "lambda-nan", "tol-nan", "table-radii-unsorted",
-        "table-cell-abc",
+        "max_iter-fraction", "samples-fraction", "seed-fraction",
+        "lambda-nan", "tol-nan", "tol-negative", "eigen-tol-0",
+        "eig_residual_tol-0", "eig_residual_tol-negative",
+        "table-radii-unsorted", "table-cell-abc",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
@@ -523,7 +534,8 @@ def test_eigen_inner_solve_failure_exits_2_with_diagnostics(tmp_path, monkeypatc
 def test_eigen_accepts_and_ignores_probe_options(tmp_path):
     # eigen.max_outer and eigen.g_scale bounded the monotone probes, which no
     # estimate runs: one outer step made this p = 3 estimate ambiguous, and
-    # now the bracket reads off the Collatz-Wielandt bracket
+    # now the bracket reads off the Collatz-Wielandt bracket.  Like any
+    # unknown key they are ignored, without a warning
     cfg = dict(
         BASE_EIGEN,
         operator={"kind": "p_laplacian", "p": 3.0},
@@ -531,7 +543,8 @@ def test_eigen_accepts_and_ignores_probe_options(tmp_path):
         grid={"R": 1.0, "N_dim": 2, "n": 51},
         eigen={"max_outer": 1, "g_scale": 10.0, "bracket_width": 0.1},
     )
-    with pytest.warns(DeprecationWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out = run_cli(tmp_path, cfg)
     assert code == 0
     up = json.loads((out / "eigen.json").read_text())["up"]

@@ -48,17 +48,6 @@ def test_eigenfunction_positive_and_normalized():
     assert est.residual_sup <= 20.0 * est.width
 
 
-def test_scaling_invariance_of_bracket():
-    # the probe data scale g_scale is deprecated and ignored: by homogeneity
-    # it never moved the bracket
-    c = lambda r: -1.0 - 0.5 * np.sin(3.0 * r)
-    est1 = bracket(LAP, c, g_scale=1.0, bracket_width=0.02)
-    with pytest.warns(DeprecationWarning, match="g_scale"):
-        est10 = bracket(LAP, c, g_scale=10.0, bracket_width=0.02)
-    assert est1.lambda_lo == est10.lambda_lo
-    assert est1.lambda_hi == est10.lambda_hi
-
-
 def test_lambda_down_mirrors_lambda_up_for_odd_operator():
     c = lambda r: -1.0 - r**2
     up = bracket(LAP, c, sign="up", bracket_width=0.02)
@@ -568,19 +557,20 @@ def test_envelope_end_in_cw_guard_band_raises_bracket_error(monkeypatch):
 
 @pytest.mark.parametrize(
     "kw",
-    [{"g_scale": 0.0}, {"g_scale": -1.0}, {"g_scale": float("nan")}, {"g_scale": float("inf")},
-     {"bracket_width": 0.0}, {"bracket_width": float("nan")}],
-    ids=["g_scale-0", "g_scale-neg", "g_scale-nan", "g_scale-inf", "width-0", "width-nan"],
+    [{"bracket_width": 0.0}, {"bracket_width": float("nan")}, {"tol": 0.0}, {"tol": -1.0},
+     {"eig_residual_tol": 0.0}, {"eig_residual_tol": -1.0}],
+    ids=["width-0", "width-nan", "tol-0", "tol-neg", "residual_tol-0", "residual_tol-neg"],
 )
 def test_eigen_options_reject_bad_values(kw):
     with pytest.raises(ValueError):
         eb.EigenOptions(**kw)
 
 
-def test_probe_only_options_are_deprecated():
+def test_removed_probe_options_raise_type_error():
+    # they bounded the monotone probes of the former bisection
     for name, value in (("g_scale", 2.0), ("max_outer", 1), ("inner_max_iter", 1),
                         ("U_max", 10.0)):
-        with pytest.warns(DeprecationWarning, match=name):
+        with pytest.raises(TypeError, match=name):
             eb.EigenOptions(**{name: value})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

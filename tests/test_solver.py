@@ -467,9 +467,10 @@ def test_monotone_rate_matches_the_smallest_shift():
 def test_workspace_reuse_is_equivalent():
     g = eb.build_grid(1.0, 2, 101)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
-    ws = eb.SolveWorkspace()
-    a = eb.monotone_iteration(LAP, coeff, 0.5, None, g,
-                              eb.SolveOptions(workspace=ws))
+    # the workspace is ignored: each solve caches its own factors
+    with pytest.warns(DeprecationWarning, match="workspace"):
+        opts = eb.SolveOptions(workspace=eb.SolveWorkspace())
+    a = eb.monotone_iteration(LAP, coeff, 0.5, None, g, opts)
     b = eb.monotone_iteration(LAP, coeff, 0.5, None, g)
     assert np.array_equal(a.final.values, b.final.values)
 
