@@ -63,8 +63,7 @@ from .solver import (
     SolveOptions,
     SolveReport,
     Verdict,
-    _Driver,
-    _floor,
+    _problem,
     _rounding,
     _solve_report,
     _TriFactor,
@@ -198,22 +197,21 @@ class _CWBracket:
     phi: np.ndarray
 
 
-def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol) -> _CWBracket:
+def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol, base=None) -> _CWBracket:
     """Positive eigenvector (of the reflected operator for "down") and its
     bracket (module docstring); ``tol`` is the residual tolerance of the
-    alpha != 0 rounds.  A round that fails is a ``BracketError``."""
-    if direction == "down":
-        op = op.reflect()
-    r = grid.nodes
-    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
-    driver = _Driver(op, grid, b, c)
-    width = _CW_REL_WIDTH * (1.0 + float(np.max(np.abs(c))))
+    alpha != 0 rounds, and ``base`` a driver of ``solver._problem`` on c.  A
+    round that fails is a ``BracketError``."""
+    if base is None:
+        base, _ = _problem(op, coeff, grid, None, 0.0)
+    driver = base if direction == "up" else base.shifted(op=op.reflect())
+    width = _CW_REL_WIDTH * (1.0 + float(np.max(np.abs(driver.c_eff))))
     inner = SolveOptions(tol=tol, U_max=math.inf)
     phi = np.ones(grid.n)
     stalled = False
     for rounds in range(_CW_MAX_ROUNDS + 1):
         res, aux = driver.residual(0.0, phi)
-        phi_a1 = phi if op.alpha == 0.0 else phi ** (op.alpha + 1.0)
+        phi_a1 = phi if driver.alpha == 0.0 else phi ** (driver.alpha + 1.0)
         rho = -res / phi_a1
         lo, hi = float(rho.min()), float(rho.max())
         # rho_i carries the rounding of the terms of row i over phi_i^{alpha+1}
@@ -241,10 +239,10 @@ def _inverse_step(driver, phi, phi_a1, aux, sigma, mid, opts):
             return _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
         except np.linalg.LinAlgError:
             return None
-    shifted = _Driver(driver.op, driver.grid, driver.b, driver.c_eff + sigma)
+    shifted = driver.shifted(sigma)
     t = (mid - sigma) ** (-1.0 / (driver.alpha + 1.0))
     psi, _, aux, rs, bands, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
-    return psi if ok or rs <= _floor(psi, bands or shifted._bands(psi, aux)) else None
+    return psi if ok or rs <= shifted.floor(psi, aux, bands) else None
 
 
 def _verdict(cw, lam) -> Verdict:
@@ -397,14 +395,12 @@ def solve_general(
     (``sandwich_ok=False``, ``converged=False``), not silently accepted.
     """
     opts = opts if opts is not None else SolveOptions()
-    r = grid.nodes
-    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
-    g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
+    base, g = _problem(op, coeff, grid, None, g_profile)
     g_sup = float(np.max(np.abs(g)))
 
     envelopes = []
     for direction in ("up", "down"):
-        cw = _collatz_wielandt(op, coeff, grid, direction, opts.tol)
+        cw = _collatz_wielandt(op, coeff, grid, direction, opts.tol, base)
         gap = cw.lo - cw.guard - lam
         if not gap > 0.0:
             raise PreconditionError(
@@ -418,8 +414,7 @@ def solve_general(
 
     # Newton starts at u0: from 0, p = 3 just below the threshold stalls at
     # a residual of 2e2, and from v0 Pucci- with alpha > 0 runs to max_iter
-    driver = _Driver(op, grid, b, c + lam)
-    report = _solve_report(driver, g, u0, opts)
+    report = _solve_report(base.shifted(lam), g, u0, opts)
     u = report.solution.values
     slack = max(100.0 * opts.tol, 1e-12 * (1.0 + g_sup))
     report.sandwich_ok = bool(np.min(u - u0) >= -slack and np.max(u - v0) <= slack)

@@ -79,7 +79,6 @@ def constant_profile(value: float) -> Callable:
         r = np.asarray(r, dtype=float)
         return np.full_like(r, v)
 
-    profile.constant_value = v
     return profile
 
 

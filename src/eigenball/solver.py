@@ -17,10 +17,12 @@ and the first that lowers the norm is accepted.  L is built once per
 accepted iterate.  The solve ends unconverged when no point lowers the
 norm before 2^-k sup|du| falls to eps (1 + sup|v|), the rounding of v, when
 a step is rejected from an iterate whose residual is at its rounding floor
-(``_floor``), or when LAPACK reports L singular.  ``eigen.solve_general``
+(``_Driver.floor``), or when LAPACK reports L singular.  ``eigen.solve_general``
 runs the same solve below both principal eigenvalues, where c + lambda may
 change sign but, for alpha = 0, every frozen-policy -L is still a
-nonsingular M-matrix.
+nonsingular M-matrix.  Every entry point, here and in ``eigen``, is set up
+by ``_problem``, which raises ``ValueError`` for operator profiles outside
+the ellipticity class, as the CLI exits 3.
 
 The stencil is in flux form for every alpha: w = m^alpha s on half nodes,
 s = (u_{i+1} - u_i)/h, with odd ghost fluxes, so w vanishes exactly at
@@ -48,7 +50,7 @@ central stencil, except in the one-sided and upwind rows.
 
 whose bounded/unbounded dichotomy detects the principal-eigenvalue
 threshold.  With g <= 0 the iterates increase from 0; with g >= 0
-(direction="down") they decrease.  Its inner solves stop at ``_floor``
+(direction="down") they decrease.  Its inner solves stop at the floor
 too.  Neither the eigen estimates nor ``eigen.solve_general`` run it; the
 estimates' verdicts replay with it.
 
@@ -161,13 +163,6 @@ def _rounding(bands, w=None):
     return ROUNDOFF_SAFETY * np.finfo(float).eps * rows
 
 
-def _floor(v, bands) -> float:
-    """ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), the smallest residual
-    floating point resolves at the iterate v with bands L; ||L||_inf is the
-    largest absolute row sum of L."""
-    return float(_rounding(bands).max()) * (1.0 + _supabs(v))
-
-
 class PreconditionError(ValueError):
     """A solver precondition (sign of the zero-order coefficient, sign of g)
     is violated; the message lists the offending nodes."""
@@ -251,8 +246,8 @@ class SolveReport:
     ``solve_neumann`` and ``solve_general`` alike; each costs one residual
     evaluation, and only a Newton step makes a tridiagonal solve.
     ``residual_floor`` is the smallest residual floating point resolves at
-    the returned solution (``_floor``); a solve that stops there because
-    ``tol`` lies below it reports ``converged`` False.
+    the returned solution (``_Driver.floor``); a solve that stops there
+    because ``tol`` lies below it reports ``converged`` False.
     """
 
     solution: GridFunction
@@ -500,6 +495,17 @@ class _Driver:
             self.pattern = pattern
         return self.factor
 
+    def floor(self, v, aux, bands=None) -> float:
+        """ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), the smallest residual
+        floating point resolves at the iterate v with bands L (those of aux
+        when None); ||L||_inf is the largest absolute row sum of L."""
+        return float(_rounding(bands or self._bands(v, aux)).max()) * (1.0 + _supabs(v))
+
+    def shifted(self, lam=None, op=None):
+        """This driver's b for c_eff + lam (c_eff when lam is None) and op."""
+        c_eff = self.c_eff if lam is None else self.c_eff + lam
+        return _Driver(op or self.op, self.grid, self.b, c_eff)
+
     # -- solver -------------------------------------------------------------
 
     def solve(self, g, v, opts, res=None, aux=None):
@@ -573,7 +579,7 @@ class _Driver:
                 rejected += 1
                 if size is None:
                     # the first rejection from this iterate
-                    if rs <= _floor(v, bands):
+                    if rs <= self.floor(v, aux, bands):
                         break
                     size, limit = _supabs(du), np.finfo(float).eps * (1.0 + _supabs(v))
                 # the next point along the rejected Newton step
@@ -609,6 +615,17 @@ def _initial_array(opts, n):
     return values
 
 
+def _problem(op, coeff, grid, lam=None, g_profile=None):
+    """(driver, g) of every solve and estimate: op's profiles checked on the
+    grid, b, c and g (``coeff.g`` when g_profile is None) sampled at its
+    nodes, and the ``_Driver`` for c + lam (c itself when lam is None)."""
+    r = grid.nodes
+    op.validate_profiles(r)
+    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
+    g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
+    return _Driver(op, grid, b, c if lam is None else c + lam), g
+
+
 def _solve_report(driver, g, v0, opts) -> SolveReport:
     """Run ``driver.solve`` from v0 and report the outcome, with the
     residual floor at the returned iterate."""
@@ -622,7 +639,7 @@ def _solve_report(driver, g, v0, opts) -> SolveReport:
         rejected=rejected,
         converged=converged,
         bound_violation=bound_violation and not converged,
-        residual_floor=_floor(v, bands or driver._bands(v, aux)),
+        residual_floor=driver.floor(v, aux, bands),
     )
 
 
@@ -637,13 +654,8 @@ def residual(
     u: GridFunction,
 ) -> GridFunction:
     """Node-wise residual G(u) + lambda |u|^alpha u - g with Neumann stencils."""
-    grid = u.grid
-    r = grid.nodes
-    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
-    g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
-    driver = _Driver(op, grid, b, c + lam)
-    res, _ = driver.residual(g, u.values)
-    return GridFunction(grid, res)
+    driver, g = _problem(op, coeff, u.grid, lam, g_profile)
+    return GridFunction(u.grid, driver.residual(g, u.values)[0])
 
 
 def solve_neumann(
@@ -677,21 +689,17 @@ def solve_neumann(
     PreconditionError if c + lambda >= 0 somewhere on the grid.
     """
     opts = opts if opts is not None else SolveOptions()
-    op.validate_profiles(grid.nodes)
-    r = grid.nodes
-    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
-    g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
-    c_eff = c + lam
+    driver, g = _problem(op, coeff, grid, lam, g_profile)
+    c_eff = driver.c_eff
     bad = np.flatnonzero(c_eff >= 0)
     if bad.size:
-        shown = ", ".join(f"r={r[i]:.6g} (c+lambda={c_eff[i]:.6g})" for i in bad[:8])
+        shown = ", ".join(f"r={grid.nodes[i]:.6g} (c+lambda={c_eff[i]:.6g})" for i in bad[:8])
         more = "" if bad.size <= 8 else f" and {bad.size - 8} more"
         raise PreconditionError(
             f"solve_neumann requires c + lambda < 0 on all nodes; "
             f"violated at {bad.size} node(s): {shown}{more}"
         )
     c0 = float(-np.max(c_eff))
-    driver = _Driver(op, grid, b, c_eff)
     report = _solve_report(driver, g, _initial_array(opts, grid.n), opts)
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo
@@ -719,17 +727,14 @@ def monotone_iteration(
     precondition holds by construction, and the factor lambda + s >= 0 keeps
     the iteration order-preserving.  Inner tolerances are tol/10, scaled by
     a bound on the inner right-hand side so they stay meaningful when the
-    iterates grow large, and raised to ``_floor`` at u of the bands of the
-    run's last Newton step; an inner solve that stops at its own ``_floor``
-    is accepted.
+    iterates grow large, and raised to ``_Driver.floor`` at u of the bands
+    of the run's last Newton step; an inner solve that stops at its own
+    floor is accepted.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    op.validate_profiles(grid.nodes)
-    r = grid.nodes
-    b, c = sample_profile(coeff.b, r), sample_profile(coeff.c, r)
-    g = sample_profile(g_profile if g_profile is not None else coeff.g, r)
+    base, g = _problem(op, coeff, grid, None, g_profile)
     if direction == "up" and np.max(g) > 0:
         raise PreconditionError(
             f"monotone_iteration(direction='up') requires g <= 0; "
@@ -742,10 +747,10 @@ def monotone_iteration(
         )
 
     # the smallest admissible shift (module docstring)
-    shift = max(float(np.max(c)) + 1.0, -lam)
+    shift = max(float(np.max(base.c_eff)) + 1.0, -lam)
     factor = lam + shift
     g_sup = float(np.max(np.abs(g)))
-    driver = _Driver(op, grid, b, c - shift)
+    driver = base.shifted(-shift)
     inner = SolveOptions()
     u = np.zeros(grid.n)
     sup = unit = 0.0
@@ -767,7 +772,7 @@ def monotone_iteration(
         # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
         # bound is enough for tolerance/limit scaling
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
-        # _floor at u of the bands of this run's last Newton step (0 before
+        # the floor at u of the bands of this run's last Newton step (0 before
         # it), ||L||_inf taken again only when the factor changes (per policy
         # at alpha = 0)
         if driver.factor is not seen:
@@ -776,7 +781,7 @@ def monotone_iteration(
         inner.tol = max(opts.tol / 10.0 * g_scale, unit * (1.0 + sup))
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
         u_new, res, aux, rs, bands, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
-        if not ok and rs > _floor(u_new, bands or driver._bands(u_new, aux)):
+        if not ok and rs > driver.floor(u_new, aux, bands):
             raise InnerSolveError(
                 step,
                 f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -65,6 +66,22 @@ def test_solve_report_names_the_residual_floor(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False and report["iterations"] <= 50
     assert report["residual_sup"] <= 1e-6 <= report["residual_floor"]
+
+
+def test_json_writer_converts_numpy_scalars_and_non_finite_floats(tmp_path):
+    # numpy scalars become plain JSON numbers and booleans; nan and the
+    # infinities, which JSON cannot hold, become strings
+    from eigenball.cli import _write_json
+
+    path = tmp_path / "payload.json"
+    _write_json(path, {
+        "bool": np.bool_(True), "float": np.float64(0.25), "int": np.int64(7),
+        "nan": float("nan"), "rows": [np.float64(np.inf), -math.inf],
+    })
+    assert path.read_text() == (
+        '{\n  "bool": true,\n  "float": 0.25,\n  "int": 7,\n  "nan": "nan",\n'
+        '  "rows": [\n    "inf",\n    "-inf"\n  ]\n}\n'
+    )
 
 
 def test_solve_with_singular_factor_exits_2(tmp_path, singular_factor):

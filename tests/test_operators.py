@@ -353,6 +353,27 @@ def test_anisotropic_profile_validation():
     )
     with pytest.raises(ValueError, match="b2"):
         op2.validate_profiles(np.linspace(0, 1, 11))
+    # b1 = 3 leaves [a, A] = [1, 2] and b2 = 1.5 has b2^2 > a: every library
+    # entry point raises, as solve_neumann does, instead of returning a
+    # bracket or a solve for an operator outside the ellipticity class
+    grid = eb.build_grid(1.0, 2, 51)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    ones = eb.GridFunction(grid, np.ones(grid.n))
+    for profile, kw in (("b1", {"b1_profile": 3.0}), ("b2", {"b2_profile": 1.5})):
+        op = eb.EllipticOperator.anisotropic(1.0, 2.0, q=2.0, c0=0.5, **kw)
+        calls = {
+            "residual": lambda: eb.residual(op, coeff, 0.0, None, ones),
+            "solve_neumann": lambda: eb.solve_neumann(op, coeff, 0.0, None, grid),
+            "monotone_iteration": lambda: eb.monotone_iteration(op, coeff, 0.5, None, grid),
+            "solve_general": lambda: eb.solve_general(op, coeff, 0.0, None, grid),
+            "lambda_up": lambda: eb.lambda_up(op, coeff, grid),
+            "lambda_down": lambda: eb.lambda_down(op, coeff, grid),
+            "eigenfunction_up": lambda: eb.eigenfunction_up(op, coeff, 0.5, grid),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=profile):
+                call()
+                pytest.fail(f"{name} accepted the {profile} profile")
 
 
 def test_effective_ellipticity_bounds():
