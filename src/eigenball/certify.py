@@ -197,12 +197,17 @@ def build_params(
 ) -> SupersolutionParams:
     """Select shell widths and fill the derived constants E, C, D.
 
-    ``beta2`` must lie strictly below ``beta2_upper_bound`` (the thin-shell
-    limit form); the search then halves eps' (and eps = eps'/2) from
-    (R - rho)/4 until beta2 also clears the exact-D bound and all invariants
-    hold.  Passing ``eps``/``eps_prime`` skips the search (used to study the
-    thin-shell limit directly).
+    ``beta2`` must be positive (a ``ValueError`` otherwise) and lie strictly
+    below ``beta2_upper_bound``, the thin-shell limit form (an
+    ``InfeasibleParams`` otherwise).  The search then halves eps' (and
+    eps = eps'/2) from (R - rho)/4 until beta2 also clears the exact-D bound.
+    The other invariants of ``validate`` hold by construction: eps < eps'
+    gives the slope condition, and C >= 0 with eps > 0 gives
+    D > (E/4)(R - rho - eps)^2.  Passing ``eps``/``eps_prime`` skips the
+    search (used to study the thin-shell limit directly).
     """
+    if not beta2 > 0:
+        raise ValueError(f"need beta2 > 0, got {beta2}")
     if (eps is None) != (eps_prime is None):
         raise ValueError("pass both eps and eps_prime, or neither")
     if eps is not None and not 0 < eps < eps_prime < R - rho:
@@ -222,7 +227,7 @@ def build_params(
         D = (E / 4.0) * (R - rho - e) ** 2 + E * C + e
         if beta2 >= _exact_beta2_bound(N_dim, a, alpha, rho, k, D):
             continue
-        params = SupersolutionParams(
+        return SupersolutionParams(
             N_dim=int(N_dim),
             a=float(a),
             A=float(A),
@@ -237,11 +242,7 @@ def build_params(
             E=float(E),
             C=float(C),
             D=float(D),
-        )
-        try:
-            return params.validate()
-        except ValueError:
-            continue
+        ).validate()
 
     raise InfeasibleParams(
         f"no admissible shell width found in {max_halvings} halvings for "
@@ -265,69 +266,56 @@ class PiecewiseRadialFn:
         self.params = params
         self.breakpoints = (0.0, params.rho, params.R - params.eps)
         p = params
-        v_mid_at_rho = (
-            p.E * p.rho**2
-            - p.E * (p.R + p.rho - p.eps) * p.rho
-            + p.D
-            + p.E * p.rho * (p.R - p.eps)
-        )
-        v_mid_at_shell = (
-            p.E * (p.R - p.eps) ** 2
-            - p.E * (p.R + p.rho - p.eps) * (p.R - p.eps)
-            + p.D
-            + p.E * p.rho * (p.R - p.eps)
-        )
-        scale = abs(p.D)
-        if abs(v_mid_at_rho - p.D) > CONTINUITY_RTOL * scale:
-            raise ValueError("supersolution branches discontinuous at rho")
-        if abs(v_mid_at_shell - p.D) > CONTINUITY_RTOL * scale:
-            raise ValueError("supersolution branches discontinuous at R - eps")
+        for where, r in (("rho", p.rho), ("R - eps", p.R - p.eps)):
+            if abs(self._parabola(r) - p.D) > CONTINUITY_RTOL * abs(p.D):
+                raise ValueError(f"supersolution branches discontinuous at {where}")
         fine = np.linspace(0.0, p.R, 4001)
         if np.min(self.value(fine)) <= 0:
             raise ValueError("supersolution is not positive")
 
-    def _masks(self, r):
+    def _parabola(self, r):
         p = self.params
-        inner = r <= p.rho
-        outer = r > p.R - p.eps
-        middle = ~inner & ~outer
-        return inner, middle, outer
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        p = self.params
-        inner, middle, outer = self._masks(r)
-        out = np.empty_like(r)
-        out[inner] = p.D + 1.0 - np.exp(p.k * (r[inner] - p.rho))
-        rm = r[middle]
-        out[middle] = (
-            p.E * rm**2
-            - p.E * (p.R + p.rho - p.eps) * rm
+        return (
+            p.E * r**2
+            - p.E * (p.R + p.rho - p.eps) * r
             + p.D
             + p.E * p.rho * (p.R - p.eps)
         )
-        out[outer] = p.D
+
+    def _branches(self, r, inner, middle, outer):
+        """Callables ``inner`` and ``middle`` of r on [0, rho] and
+        (rho, R - eps], the constant ``outer`` on (R - eps, R]."""
+        p = self.params
+        r = np.asarray(r, dtype=float)
+        core = r <= p.rho
+        shell = r > p.R - p.eps
+        annulus = ~core & ~shell
+        out = np.empty_like(r)
+        out[core] = inner(r[core])
+        out[annulus] = middle(r[annulus])
+        out[shell] = outer
         return out
+
+    def value(self, r):
+        p = self.params
+        return self._branches(
+            r, lambda s: p.D + 1.0 - np.exp(p.k * (s - p.rho)), self._parabola, p.D
+        )
 
     def deriv1(self, r):
-        r = np.asarray(r, dtype=float)
         p = self.params
-        inner, middle, outer = self._masks(r)
-        out = np.empty_like(r)
-        out[inner] = -p.k * np.exp(p.k * (r[inner] - p.rho))
-        out[middle] = p.E * (2.0 * r[middle] - (p.R + p.rho - p.eps))
-        out[outer] = 0.0
-        return out
+        return self._branches(
+            r,
+            lambda s: -p.k * np.exp(p.k * (s - p.rho)),
+            lambda s: p.E * (2.0 * s - (p.R + p.rho - p.eps)),
+            0.0,
+        )
 
     def deriv2(self, r):
-        r = np.asarray(r, dtype=float)
         p = self.params
-        inner, middle, outer = self._masks(r)
-        out = np.empty_like(r)
-        out[inner] = -p.k**2 * np.exp(p.k * (r[inner] - p.rho))
-        out[middle] = 2.0 * p.E
-        out[outer] = 0.0
-        return out
+        return self._branches(
+            r, lambda s: -p.k**2 * np.exp(p.k * (s - p.rho)), lambda s: 2.0 * p.E, 0.0
+        )
 
     def middle_minimum(self):
         """Location and value of the parabola minimum, D - (E/4)(R-rho-eps)^2."""
@@ -404,16 +392,7 @@ class Certificate:
         return min(self.m1, self.m2, self.m3, self.grid_margin)
 
     def to_dict(self):
-        return {
-            "params": self.params.as_dict(),
-            "m1": self.m1,
-            "m2": self.m2,
-            "m3": self.m3,
-            "grid_margin": self.grid_margin,
-            "integral_c": self.integral_c,
-            "positivity_ok": self.positivity_ok,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
     def summary(self):
         return {

@@ -234,9 +234,9 @@ def _parse_grid(d: dict):
 
 def _parse_certify_params(c, grid, op):
     """``build_params`` of the certify section.  A field that is missing or
-    not a finite number, a geometry without a beta2 bound and forced shell
-    widths outside 0 < eps < eps_prime < R - rho are config errors; a beta2
-    at or above the bound raises ``InfeasibleParams``."""
+    not a finite number, a geometry without a beta2 bound, a beta2 <= 0 and
+    forced shell widths outside 0 < eps < eps_prime < R - rho are config
+    errors; a beta2 at or above the bound raises ``InfeasibleParams``."""
     if not isinstance(c, dict):
         raise ConfigError("certify: section missing or not an object")
     for key in ("rho", "k", "beta1"):

@@ -286,10 +286,9 @@ class EllipticOperator:
         For the anisotropic kind a negative coupling c0 lowers the usable
         lower bound to a (1 + c0) and a positive one raises the upper bound
         to A + a c0, because <N B2 p, B2 p> ranges over [0, |B2 p|^2 tr N]
-        and |B2 p|^2 <= a |p|^2.
+        and |B2 p|^2 <= a |p|^2.  Every other kind returns (a, A), which for
+        the p-Laplacian are min(1, p - 1) and max(1, p - 1).
         """
-        if self.kind == P_LAPLACIAN:
-            return min(1.0, self.p - 1.0), max(1.0, self.p - 1.0)
         if self.kind == ANISOTROPIC:
             lo = self.a * (1.0 + min(self.c0, 0.0))
             hi = self.A + self.a * max(self.c0, 0.0)
@@ -533,24 +532,38 @@ class PropertyReport:
         return self.evaluated > 0 and not self.failures
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "requested": self.requested,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
-def _draw_states(rng, count):
-    r = rng.uniform(0.1, 2.0, count)
-    m = 10.0 ** rng.uniform(-2.0, 1.0, count)
-    h_rad = rng.uniform(-5.0, 5.0, count)
-    h_tan = rng.uniform(-5.0, 5.0, count)
-    return r, m, h_rad, h_tan
+def _draw_states(sample_count, seed):
+    """The seeded generator and the states (r, |p|, h_rad, h_tan) it drew."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.1, 2.0, sample_count)
+    m = 10.0 ** rng.uniform(-2.0, 1.0, sample_count)
+    h_rad = rng.uniform(-5.0, 5.0, sample_count)
+    h_tan = rng.uniform(-5.0, 5.0, sample_count)
+    return rng, r, m, h_rad, h_tan
+
+
+def _report(name, op, keep, bad, rel, max_recorded, **columns) -> PropertyReport:
+    """Report of a check over the samples marked ``keep``: the first
+    ``max_recorded`` samples marked ``bad`` are recorded with ``columns``, and
+    ``max_violation`` is the largest kept ``rel``."""
+    failures = [
+        {key: float(col[i]) for key, col in columns.items()}
+        for i in np.flatnonzero(bad)[:max_recorded]
+    ]
+    return PropertyReport(
+        name=name,
+        kind=op.kind,
+        requested=keep.size,
+        evaluated=int(np.count_nonzero(keep)),
+        skipped=int(np.count_nonzero(~keep)),
+        failures=failures,
+        max_violation=float(np.max(rel[keep])) if np.any(keep) else 0.0,
+    )
 
 
 def check_homogeneity(
@@ -569,17 +582,12 @@ def check_homogeneity(
     and mu).  Samples whose scaled or unscaled gradient magnitude falls
     inside the regularization zone (< delta) are skipped, not asserted.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    r, m, h_rad, h_tan = _draw_states(rng, sample_count)
+    rng, r, m, h_rad, h_tan = _draw_states(sample_count, seed)
     t = rng.choice([-1.0, 1.0], sample_count) * 10.0 ** rng.uniform(
         -1.0, 1.0, sample_count
     )
     mu = rng.uniform(0.0, 5.0, sample_count)
-
     keep = (m >= delta) & (np.abs(t) * m >= delta)
-    skipped = int(np.count_nonzero(~keep))
 
     lhs = eval_radial_F_from_eigs(
         op, r, np.abs(t) * m, mu * h_rad, mu * h_tan, N_dim, delta=delta
@@ -598,28 +606,9 @@ def check_homogeneity(
     err = np.abs(lhs - rhs)
     bad = keep & (err > rtol * scale)
     rel = np.where(scale > 0, err / scale, 0.0)
-
-    failures = [
-        {
-            "r": float(r[i]),
-            "grad_mag": float(m[i]),
-            "h_rad": float(h_rad[i]),
-            "h_tan": float(h_tan[i]),
-            "t": float(t[i]),
-            "mu": float(mu[i]),
-            "rel_error": float(rel[i]),
-        }
-        for i in np.flatnonzero(bad)[:max_recorded]
-    ]
-    max_violation = float(np.max(rel[keep])) if np.any(keep) else 0.0
-    return PropertyReport(
-        name="homogeneity",
-        kind=op.kind,
-        requested=sample_count,
-        evaluated=int(np.count_nonzero(keep)),
-        skipped=skipped,
-        failures=failures,
-        max_violation=max_violation,
+    return _report(
+        "homogeneity", op, keep, bad, rel, max_recorded,
+        r=r, grad_mag=m, h_rad=h_rad, h_tan=h_tan, t=t, mu=mu, rel_error=rel,
     )
 
 
@@ -639,15 +628,10 @@ def check_ellipticity(
     pair, and the increment of F must lie in
     [a_eff m^alpha tr N, A_eff m^alpha tr N] with tr N = n2 + (N-1) n_t.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    r, m, h_rad, h_tan = _draw_states(rng, sample_count)
+    rng, r, m, h_rad, h_tan = _draw_states(sample_count, seed)
     n2 = rng.uniform(0.0, 5.0, sample_count)
     nt = rng.uniform(0.0, 5.0, sample_count)
-
     keep = m >= delta
-    skipped = int(np.count_nonzero(~keep))
 
     base = eval_radial_F_from_eigs(op, r, m, h_rad, h_tan, N_dim, delta=delta)
     pert = eval_radial_F_from_eigs(
@@ -666,26 +650,7 @@ def check_ellipticity(
     viol = np.maximum(lo - diff, diff - hi)
     bad = keep & (viol > slack)
     rel = np.where(scale > 0, np.maximum(viol, 0.0) / scale, 0.0)
-
-    failures = [
-        {
-            "r": float(r[i]),
-            "grad_mag": float(m[i]),
-            "h_rad": float(h_rad[i]),
-            "h_tan": float(h_tan[i]),
-            "n2": float(n2[i]),
-            "n_t": float(nt[i]),
-            "rel_violation": float(rel[i]),
-        }
-        for i in np.flatnonzero(bad)[:max_recorded]
-    ]
-    max_violation = float(np.max(rel[keep])) if np.any(keep) else 0.0
-    return PropertyReport(
-        name="ellipticity",
-        kind=op.kind,
-        requested=sample_count,
-        evaluated=int(np.count_nonzero(keep)),
-        skipped=skipped,
-        failures=failures,
-        max_violation=max_violation,
+    return _report(
+        "ellipticity", op, keep, bad, rel, max_recorded,
+        r=r, grad_mag=m, h_rad=h_rad, h_tan=h_tan, n2=n2, n_t=nt, rel_violation=rel,
     )

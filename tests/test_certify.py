@@ -114,6 +114,14 @@ def test_build_params_rejects_malformed_forced_widths(eps, eps_prime):
     assert not isinstance(exc.value, eb.InfeasibleParams)
 
 
+@pytest.mark.parametrize("beta2", [0.0, -1.0, math.nan])
+def test_build_params_rejects_nonpositive_beta2(beta2):
+    # a configuration error, not an exhausted shell-width search
+    with pytest.raises(ValueError, match="beta2 > 0") as exc:
+        eb.build_params(**SEARCH, beta2=beta2)
+    assert not isinstance(exc.value, eb.InfeasibleParams)
+
+
 def test_build_params_thin_shell_limit():
     # with forced tiny shells, D approaches the closed-form limit
     d_lim = 4.0 * (0.75 / 4.0 + (4.0 - 1.25) / 7.5)

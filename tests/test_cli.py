@@ -203,6 +203,9 @@ MALFORMED_TABLES = {
         _with(BASE_CERTIFY, "certify.rho", -0.25),
         _with(BASE_CERTIFY, "certify.rho", float("nan")),
         _with(BASE_CERTIFY, "certify.eps", 0.05),
+        # a non-positive beta2 exhausted the shell-width search (exit 2)
+        dict(BASE_CERTIFY, certify={"rho": 0.25, "k": 4.0, "beta1": 10.0, "beta2": 0}),
+        _with(BASE_CERTIFY, "certify.beta2_fraction", -0.5),
         dict(
             BASE_SOLVE,
             operator={
@@ -243,6 +246,7 @@ MALFORMED_TABLES = {
         "solver-int", "sweep-grid-n", "sweep-workers", "check-samples",
         "coefficients-list", "general-string", "seed-string", "seed-negative",
         "certify-rho-negative", "certify-rho-nan", "certify-eps-alone",
+        "certify-beta2-zero", "certify-beta2-fraction-negative",
         "anisotropic-b1-outside", "sweep-scalar", "sweep-workers-fraction",
         "sweep-base-scalar", "sweep-parameter-scalar", "sweep-path-number",
         "sweep-path-through-scalar", "grid-n-fraction", "N_dim-fraction",

@@ -273,6 +273,34 @@ def test_homogeneity_skips_regularization_zone():
     assert report.passed
 
 
+RECORD_KEYS = {
+    "homogeneity": ["r", "grad_mag", "h_rad", "h_tan", "t", "mu", "rel_error"],
+    "ellipticity": ["r", "grad_mag", "h_rad", "h_tan", "n2", "n_t", "rel_violation"],
+}
+REPORT_KEYS = ["name", "kind", "requested", "evaluated", "skipped", "failures",
+               "max_violation", "passed"]
+
+
+@pytest.mark.parametrize("max_recorded", [3, 1000])
+@pytest.mark.parametrize("check", [eb.check_homogeneity, eb.check_ellipticity])
+def test_failure_records(check, max_recorded):
+    # rtol = -1 fails every evaluated sample; delta = 0.5 skips some, and
+    # skipped samples are never recorded
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5)
+    report = check(op, 200, seed=5, delta=0.5, rtol=-1.0, max_recorded=max_recorded)
+    assert 0 < report.evaluated < report.requested == 200
+    assert len(report.failures) == min(max_recorded, report.evaluated)
+    for record in report.failures:
+        assert list(record) == RECORD_KEYS[report.name]
+        assert all(type(value) is float for value in record.values())
+        assert record["grad_mag"] >= 0.5
+    assert report.passed is False
+    payload = report.to_dict()
+    assert list(payload) == REPORT_KEYS
+    assert payload["passed"] is False
+    assert payload["failures"] == report.failures
+
+
 def test_ellipticity_zero_perturbation_is_tight():
     op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)
     v = eb.eval_radial_F_from_eigs(op, 1.0, 1.0, 2.0, -1.0, 2)
@@ -385,6 +413,9 @@ def test_effective_ellipticity_bounds():
     op2 = eb.EllipticOperator.anisotropic(1.0, 2.0, q=3.0, c0=0.5,
                                           b1_profile=1.5, b2_profile=0.5)
     assert op2.ellipticity_bounds() == (1.0, 2.5)
+    # the p-Laplacian's (a, A) are its bounds (min(1, p - 1), max(1, p - 1))
+    assert eb.EllipticOperator.p_laplacian(1.5).ellipticity_bounds() == (0.5, 1.0)
+    assert eb.EllipticOperator.p_laplacian(3.0).ellipticity_bounds() == (1.0, 2.0)
 
 
 def test_regularity_meta_validation():
