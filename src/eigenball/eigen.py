@@ -99,14 +99,14 @@ class BracketError(RuntimeError):
 
 
 class EigenResidualError(RuntimeError):
-    """Achieved eigen-equation residual exceeds the requested tolerance."""
+    """Eigen-equation residual at ``lam`` above the requested tolerance."""
 
-    def __init__(self, achieved: float, tol: float):
+    def __init__(self, achieved: float, tol: float, lam: float, bracket: tuple):
         self.achieved = achieved
         self.tol = tol
         super().__init__(
-            f"eigenfunction residual {achieved:.3e} exceeds tolerance {tol:.3e} "
-            f"(bracket too wide)"
+            f"eigenfunction residual {achieved:.3e} at lambda={lam:.9g} exceeds tolerance "
+            f"{tol:.3e}; Collatz-Wielandt bracket [{bracket[0]:.9g}, {bracket[1]:.9g}]"
         )
 
 
@@ -219,11 +219,11 @@ def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol, base=Non
         if stalled or hi - lo <= max(width, 2.0 * guard) or rounds == _CW_MAX_ROUNDS:
             return _CWBracket(lo, hi, guard, phi)
         sigma = lo - max((hi - lo) / 100.0, 2.0 * guard)
-        psi = _inverse_step(driver, phi, phi_a1, aux, sigma, 0.5 * (lo + hi), inner)
-        if psi is None or not psi.min() > 0.0:
+        psi, cause = _inverse_step(driver, phi, phi_a1, aux, sigma, 0.5 * (lo + hi), inner)
+        if cause:
             raise BracketError(
                 f"Collatz-Wielandt round {rounds + 1} at sigma={sigma:.9g} failed: "
-                f"singular bands, a solve above its floor, or a lost strict sign"
+                f"{cause}; min phi {phi.min():.3e}, bracket [{lo:.9g}, {hi:.9g}]"
             )
         new = psi / psi.max()
         stalled = float(np.max(np.abs(np.log(new / phi)))) <= _CW_STALL
@@ -231,18 +231,23 @@ def _collatz_wielandt(op, coeff, grid, direction, tol=SolveOptions.tol, base=Non
 
 
 def _inverse_step(driver, phi, phi_a1, aux, sigma, mid, opts):
-    """psi with -G(psi) - sigma psi^{alpha+1} = phi^{alpha+1}, None when its
-    solve fails; for alpha != 0 Newton steps from t phi (module docstring)."""
+    """(psi, None), psi > 0 solving -G(psi) - sigma psi^{alpha+1} = phi^{alpha+1},
+    or (None, cause); for alpha != 0 Newton steps from t phi (module docstring)."""
     if driver.alpha == 0.0:
         lower, diag, upper = driver._bands(phi, aux)
         try:
-            return _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
+            psi = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
         except np.linalg.LinAlgError:
-            return None
-    shifted = driver.shifted(sigma)
-    t = (mid - sigma) ** (-1.0 / (driver.alpha + 1.0))
-    psi, _, aux, rs, bands, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
-    return psi if ok or rs <= shifted.floor(psi, aux, bands) else None
+            return None, "singular bands"
+    else:
+        shifted = driver.shifted(sigma)
+        t = (mid - sigma) ** (-1.0 / (driver.alpha + 1.0))
+        psi, _, aux, rs, bands, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
+        if not ok and not rs <= (floor := shifted.floor(psi, aux, bands)):
+            return None, f"the Newton solve stopped at {rs:.3e}, above its floor {floor:.3e}"
+    if not psi.min() > 0.0:
+        return None, f"psi lost its strict sign (min psi {psi.min():.3e})"
+    return psi, None
 
 
 def _verdict(cw, lam) -> Verdict:
@@ -252,21 +257,22 @@ def _verdict(cw, lam) -> Verdict:
         return Verdict.CONVERGED
     if lam > cw.hi + cw.guard:
         return Verdict.UNBOUNDED
+    where = "inside" if cw.lo <= lam <= cw.hi else f"within the rounding guard {cw.guard:.3e} of"
     raise BracketError(
-        f"lambda={lam:.9g} lies within the rounding guard {cw.guard:.3e} of the "
-        f"Collatz-Wielandt bracket [{cw.lo:.9g}, {cw.hi:.9g}]; no certified verdict"
+        f"lambda={lam:.9g} lies {where} the Collatz-Wielandt bracket "
+        f"[{cw.lo:.9g}, {cw.hi:.9g}]; no certified verdict"
     )
 
 
-def _eigenfunction(op, coeff, grid, values, lam_mid, width, opts):
-    """The eigenvector ``values`` (sup-norm 1, strict sign) on the grid and
-    its eigen-equation residual at ``lam_mid``, checked against the
-    resolved tolerance."""
-    phi = GridFunction(grid, values)
-    res_sup = residual(op, coeff, lam_mid, 0.0, phi).sup_norm()
+def _eigenfunction(op, coeff, grid, cw, direction, lam, width, opts):
+    """The eigenvector of the bracket ``cw`` (sup-norm 1, negated for
+    "down") on the grid and its eigen-equation residual at ``lam``, checked
+    against the resolved tolerance."""
+    phi = GridFunction(grid, cw.phi if direction == "up" else -cw.phi)
+    res_sup = residual(op, coeff, lam, 0.0, phi).sup_norm()
     res_tol = opts.resolved_residual_tol(width)
     if res_sup > res_tol:
-        raise EigenResidualError(res_sup, res_tol)
+        raise EigenResidualError(res_sup, res_tol, lam, (cw.lo, cw.hi))
     return phi, res_sup
 
 
@@ -296,8 +302,7 @@ def _estimate(op, coeff, grid, opts, direction: str):
             f"{probes[0][1]} and {probes[1][1]}, not converged and unbounded; "
             f"|c|_inf bounds the eigenvalue, so this is a configuration error"
         )
-    values = cw.phi if direction == "up" else -cw.phi
-    phi, res_sup = _eigenfunction(op, coeff, grid, values, lam_mid, width, opts)
+    phi, res_sup = _eigenfunction(op, coeff, grid, cw, direction, lam_mid, width, opts)
     return EigenEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
@@ -366,7 +371,7 @@ def eigenfunction_up(
         raise BracketError(
             f"lambda={lambda_bar_est:.9g} is not a certified convergent shift"
         )
-    phi, _ = _eigenfunction(op, coeff, grid, cw.phi, lambda_bar_est + 0.5 * width, width, opts)
+    phi, _ = _eigenfunction(op, coeff, grid, cw, "up", lambda_bar_est + 0.5 * width, width, opts)
     return phi
 
 

@@ -454,13 +454,11 @@ class _Driver:
             pr, ql = P / self.h, Q / self.h
             z = -np.abs(self.zc) if terms else self.zc
         else:
-            # Phi'(s) = (alpha+1)|s|^alpha with |s| floored at
-            # 1e-6 (1 + sup|v|) for alpha > 0; the derivative of the floored
-            # Phi for alpha < 0
+            # Phi' of the floored flux Phi(s) = m^alpha s: m^alpha (1 +
+            # alpha q / m), q = |s| above delta and s^2 / delta below, so
+            # (alpha+1)|s|^alpha above the floor, for either sign of alpha
             if terms:
                 dphi = max(1.0, a + 1.0) * m**a
-            elif a > 0.0:
-                dphi = (a + 1.0) * np.maximum(np.abs(s), 1e-6 * (1.0 + vsup)) ** a
             else:
                 abs_s = np.abs(s)
                 q = np.where(abs_s >= delta, abs_s, s * s / delta)
@@ -469,12 +467,14 @@ class _Driver:
             # d wr/d v_{i+1} and d wl/d v_i, ghost fluxes mirrored at the ends
             pr = P * np.append(dphi, dphi[-1])
             ql = Q * np.concatenate(((dphi[0],), dphi))
-            # zero-order Jacobian (alpha+1) c |v|^alpha, floored away from the
-            # |v| = 0 singularity; any negative surrogate is admissible here
+            # zero-order Jacobian (alpha+1) c |v|^alpha.  At v_i = 0 it is
+            # infinite for alpha < 0 and would pin v_i there, so |v_i| is capped
+            # at 1e-6 (1 + sup|v|): that changes only the step, not the residual
+            # judging it, so a sign-changing iterate may still leave or cross 0
             if terms:
                 z = -np.abs(self.c_eff) * np.abs(v) ** a
             else:
-                z = self.zc * np.maximum(np.abs(v), 1e-6 * (1.0 + vsup)) ** a
+                z = self.zc * np.where(v != 0.0, np.abs(v), 1e-6 * (1.0 + vsup)) ** a
         diag = ql - pr + z
         upper = pr[:-1]
         upper[0] -= ql[0]
@@ -527,8 +527,8 @@ class _Driver:
         the first that lowers the merit is accepted.  Where the bands are the
         exact Jacobian J, du = -J^-1 res is a descent direction of the merit
         (its derivative along du is -|res|), so a short enough point lowers
-        it; at the Pucci and gradient-floor kinks, and where the bands floor
-        |s| or |v|, it need not.  Once 2^-k sup|du| <= eps (1 + sup|v|), the
+        it; at the Pucci and gradient-floor kinks, and at v_i = 0 for
+        alpha != 0, it need not.  Once 2^-k sup|du| <= eps (1 + sup|v|), the
         points no longer move v beyond its rounding, and the solve ends.
 
         Returns (v, res, aux, rs, bands, iterations, rejected, converged,
@@ -755,8 +755,7 @@ def monotone_iteration(
     u = np.zeros(grid.n)
     sup = unit = 0.0
     res = aux = g_prev = seen = None
-    sup_norms = [0.0]
-    min_values = [0.0]
+    sup_norms, min_values = [0.0], [0.0]
     flags = []
     verdict = Verdict.MAX_ITER
     for step in range(1, opts.max_iter + 1):
@@ -787,13 +786,9 @@ def monotone_iteration(
                 f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",
             )
         dvec = u_new - u
-        dmin = float(dvec.min())
-        dmax = float(dvec.max())
+        dmin, dmax = float(dvec.min()), float(dvec.max())
         slack = 10.0 * inner.tol
-        if direction == "up":
-            flags.append(dmin >= -slack)
-        else:
-            flags.append(dmax <= slack)
+        flags.append(dmin >= -slack if direction == "up" else dmax <= slack)
         u = u_new
         sup = _supabs(u)
         sup_norms.append(sup)

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -100,6 +101,14 @@ def test_eigen_residual_tolerance_reported():
     with pytest.raises(eb.EigenResidualError) as exc:
         eb.lambda_up(LAP, coeff, GRID, eb.EigenOptions(eig_residual_tol=1e-15))
     assert exc.value.achieved > 1e-15
+    assert exc.value.tol == 1e-15
+    # the message names the shift the residual was taken at and the bracket
+    est = eb.lambda_up(LAP, coeff, GRID)
+    lo, hi = est.cw_bracket
+    message = str(exc.value)
+    assert f"at lambda={est.midpoint:.9g} " in message
+    assert f"Collatz-Wielandt bracket [{lo:.9g}, {hi:.9g}]" in message
+    assert "too wide" not in message
 
 
 def test_bracket_grid_stability():
@@ -453,6 +462,43 @@ def test_cw_bracket_on_a_large_ball(R, c, exact, n):
     assert [p[2] for p in est.probes] == ["cw"] * 4
 
 
+@pytest.mark.parametrize(
+    "op, sign, R, reference, cw_width",
+    [
+        (eb.EllipticOperator.p_laplacian(3.0), "up", 10.0, 2.306923750, 1e-8),
+        (eb.EllipticOperator.p_laplacian(3.0), "down", 10.0, 2.306923750, 1e-8),
+        (eb.EllipticOperator.p_laplacian(5.0), "up", 10.0, None, 1e-8),
+        (eb.EllipticOperator.p_laplacian(5.0), "down", 10.0, None, 1e-8),
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5), "up", 10.0, 3.938982457, 1e-8),
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5), "down", 10.0, None, 1e-8),
+        (eb.EllipticOperator.pucci_plus(1.0, 2.0, 1.0), "up", 10.0, 2.210716786, 1e-8),
+        # alpha < 0 rounds stop at twice the rounding guard, about 1e-7 here
+        (eb.EllipticOperator.p_laplacian(1.5), "up", 5.0, 3.374293997, 1e-6),
+    ],
+    ids=["p3-up", "p3-down", "p5-up", "p5-down", "pucci_minus_a+0.5-up",
+         "pucci_minus_a+0.5-down", "pucci_plus_a+1-up", "p1.5-up-R5"],
+)
+def test_nonzero_alpha_cw_bracket_on_a_large_ball(op, sign, R, reference, cw_width):
+    # phi's tail falls to 1e-13 on R = 10, far below 1e-6 sup|phi|: with
+    # bands that are the exact Jacobian there, the Newton solve of every
+    # round converges and the rounds close the bracket to rounding level
+    # (slope and |v| floors of 1e-6 (1 + sup|v|) in the bands left these
+    # estimates a BracketError or EigenResidualError after 0.4-0.5 s).  The
+    # references are discrete radial shooting values, rounded to 9 decimals
+    start = time.perf_counter()
+    est = bracket(op, lambda r: -1.0 - r**2, grid=eb.build_grid(R, 2, 401), sign=sign,
+                  bracket_width=0.02)
+    elapsed = time.perf_counter() - start
+    lo, hi = est.cw_bracket
+    assert est.width <= 0.02
+    assert est.lambda_lo <= lo <= hi <= est.lambda_hi
+    assert hi - lo <= cw_width
+    assert elapsed < 0.1
+    if reference is not None:
+        assert est.lambda_lo <= reference <= est.lambda_hi
+        assert lo - 5e-10 <= reference <= hi + 5e-10
+
+
 MONOTONE_PROBE_OPS = {
     **NEGATIVE_ALPHA_OPS,
     "p_laplacian_4": eb.EllipticOperator.p_laplacian(4.0),
@@ -553,6 +599,53 @@ def test_envelope_end_in_cw_guard_band_raises_bracket_error(monkeypatch):
                         lambda *a: replace(original(*a), lo=5.0, hi=5.0))
     with pytest.raises(eb.BracketError, match="configuration error"):
         bracket(LAP, -1.0)
+
+
+def test_end_inside_cw_bracket_is_not_blamed_on_the_guard(monkeypatch):
+    # the lower envelope end -2 lies inside this bracket, far from its
+    # rounding guard; the message says so and does not name the guard
+    from dataclasses import replace
+
+    from eigenball import eigen
+
+    original = eigen._collatz_wielandt
+    monkeypatch.setattr(eigen, "_collatz_wielandt",
+                        lambda *a: replace(original(*a), lo=-5.0, hi=5.0))
+    with pytest.raises(eb.BracketError) as exc:
+        bracket(LAP, -1.0)
+    message = str(exc.value)
+    assert "lambda=-2 lies inside the Collatz-Wielandt bracket [-5, 5]" in message
+    assert "guard" not in message
+
+
+def test_failed_cw_round_names_its_cause():
+    # Pucci+ with alpha = -0.5 on R = 10: phi's tail falls to 2e-15 and
+    # round 5's psi dips below 0 there, a lost strict sign
+    op = eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5)
+    with pytest.raises(eb.BracketError) as exc:
+        bracket(op, lambda r: -1.0 - r**2, grid=eb.build_grid(10.0, 2, 101),
+                bracket_width=0.02)
+    message = str(exc.value)
+    assert message.startswith("Collatz-Wielandt round 5 ")
+    assert "psi lost its strict sign (min psi -" in message
+    assert "min phi " in message and ", bracket [" in message
+    assert "singular bands" not in message and "floor" not in message
+
+
+def test_failed_cw_newton_solve_names_its_residual(monkeypatch):
+    # a round whose Newton solve ends above its rounding floor names the
+    # residual and the floor; one step cannot solve round 1 for p = 3
+    import functools
+
+    from eigenball import eigen
+
+    monkeypatch.setattr(eigen, "SolveOptions", functools.partial(eigen.SolveOptions, max_iter=1))
+    with pytest.raises(eb.BracketError) as exc:
+        bracket(eb.EllipticOperator.p_laplacian(3.0), lambda r: -1.0 - r**2)
+    message = str(exc.value)
+    assert message.startswith("Collatz-Wielandt round 1 ")
+    assert "the Newton solve stopped at " in message and ", above its floor " in message
+    assert "min phi 1.000e+00, bracket [" in message
 
 
 @pytest.mark.parametrize(

@@ -537,6 +537,42 @@ def test_bands_match_finite_difference_jacobian(name):
     assert not outside.any()
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.5),
+        eb.EllipticOperator.p_laplacian(3.0),
+        eb.EllipticOperator.pucci_plus(1.0, 2.0, -0.5),
+        eb.EllipticOperator.p_laplacian(1.5),
+    ],
+    ids=["pucci_minus_a+0.5", "p_laplacian_p3", "pucci_plus_a-0.5", "p_laplacian_p1.5"],
+)
+def test_bands_match_finite_difference_jacobian_in_the_tail(op):
+    # v = exp(-r^2) falls to 1e-11 at r = 5, far below 1e-6 sup|v|, and its
+    # tail slopes lie below the gradient floor: every band entry, end rows
+    # included, is the derivative of the residual there (a slope floor of
+    # 1e-6 (1 + sup|v|) put 36 of these entries off by up to 4e3 relative)
+    n = 51
+    g = eb.build_grid(5.0, 2, n)
+    r = g.nodes
+    driver = _Driver(op, g, None, -1.0 - r**2)
+    data = np.zeros(n)
+    v = np.exp(-r**2)
+    _, aux = driver.residual(data, v)
+    lower, diag, upper = driver._bands(v, aux)
+    jac = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1e-6 * v[j]
+        plus, _ = driver.residual(data, v + e)
+        minus, _ = driver.residual(data, v - e)
+        jac[:, j] = (plus - minus) / (2 * e[j])
+    i = np.arange(n)
+    bands = np.concatenate([lower, diag, upper])
+    fd = np.concatenate([jac[i[1:], i[:-1]], jac[i, i], jac[i[:-1], i[1:]]])
+    assert np.all(np.abs(bands - fd) <= 1e-6 * np.abs(fd))
+
+
 def test_ptc_reuses_bands_on_rejected_steps(monkeypatch):
     # backtracking a rejected Newton step only changes its length, so it
     # must not rebuild the bands: within one Newton run every _bands call is
