@@ -295,29 +295,32 @@ class EllipticOperator:
             return lo, hi
         return self.a, self.A
 
-    def second_order_weights(self, h_rad, h_tan, r):
-        """Weights (w_rad, w_tan) with F = m^alpha (w_rad h_rad + (N-1) w_tan h_tan).
-
-        For the Pucci kinds the weights depend on the eigenvalue signs; for
-        the other kinds they are state-independent, which is what makes the
-        frozen-coefficient linearization exact.
+    def weight_table(self, r):
+        """The second-order weights on radii r, (pos, neg): pairs (w_rad, w_tan)
+        for a Hessian eigenvalue >= 0 (pos) and < 0 (neg).  Pucci- weighs
+        one >= 0 by a and one < 0 by A, Pucci+ the reverse; the p-Laplacian
+        has (p - 1, 1) and the anisotropic kind the node arrays
+        (b1 + c0 b2^2, b1).  Where the sign does not matter, pos is neg.
         """
-        if self.kind == PUCCI_MINUS:
-            w_rad = np.where(np.asarray(h_rad) >= 0, self.a, self.A)
-            w_tan = np.where(np.asarray(h_tan) >= 0, self.a, self.A)
-        elif self.kind == PUCCI_PLUS:
-            w_rad = np.where(np.asarray(h_rad) >= 0, self.A, self.a)
-            w_tan = np.where(np.asarray(h_tan) >= 0, self.A, self.a)
-        elif self.kind == P_LAPLACIAN:
-            shape = np.broadcast(np.asarray(h_rad), np.asarray(h_tan)).shape
-            w_rad = np.full(shape, self.p - 1.0)
-            w_tan = np.ones(shape)
+        if self.kind == P_LAPLACIAN:
+            pair = (self.p - 1.0, 1.0)
+        elif self.kind == ANISOTROPIC:
+            b1, b2 = sample_profile(self.b1_profile, r), sample_profile(self.b2_profile, r)
+            pair = (b1 + self.c0 * b2 * b2, b1)
         else:
-            b1 = sample_profile(self.b1_profile, np.asarray(r, dtype=float))
-            b2 = sample_profile(self.b2_profile, np.asarray(r, dtype=float))
-            w_rad = b1 + self.c0 * b2 * b2
-            w_tan = b1
-        return w_rad, w_tan
+            lo, hi = (self.a, self.A) if self.kind == PUCCI_MINUS else (self.A, self.a)
+            pair = (lo, lo)
+            if lo != hi:
+                return pair, (hi, hi)
+        return pair, pair
+
+    def second_order_weights(self, h_rad, h_tan, r):
+        """Weights (w_rad, w_tan) with F = m^alpha (w_rad h_rad + (N-1) w_tan h_tan)
+        at the Hessian eigenvalues h_rad, h_tan on radii r, each read off
+        ``weight_table`` by the sign of its own eigenvalue."""
+        pos, neg = self.weight_table(r)
+        w_rad = np.where(np.asarray(h_rad) >= 0, pos[0], neg[0])
+        return w_rad, np.where(np.asarray(h_tan) >= 0, pos[1], neg[1])
 
     def validate_profiles(self, r_samples, tol: float = 1e-12) -> None:
         """Check a <= b1 <= A and b2^2 <= a on the given radii (anisotropic)."""

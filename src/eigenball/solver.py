@@ -298,18 +298,19 @@ class IterationReport:
 class _Driver:
     """Repeated solves of one frozen-coefficient problem with varying data.
 
-    Owns the node samples of b and c + lambda, the parts of the bands that
-    do not depend on the iterate (weights, tangential and drift flux
-    coefficients, zero-order factor), and the factor of the last bands with
-    the policy it is keyed by (``_factor``).  All heavy
-    per-step work (residual, bands, factor) happens here so the iteration
-    layers above stay thin.
+    Keeps what no iterate changes: the node samples ``b`` and ``c_eff``
+    (c + lambda), the zero-order band factor ``zc``, the weights as
+    ``EllipticOperator.weight_table`` gives them (``policy``, the Pucci
+    weights for an eigenvalue >= 0 and < 0, or None and the weights
+    ``w_rad``, ``w_tan``), the tangential and drift flux coefficients ``tr``,
+    ``tl``, ``br``, ``bl``; and the factor of the last bands with its key
+    ``pattern`` (``_factor``).  All heavy per-step work (residual, bands,
+    factor) happens here so the iteration layers above stay thin.
     """
 
     __slots__ = (
-        "op", "grid", "b", "c_eff", "zc", "alpha", "n", "h", "r", "N",
-        "w_rad", "w_tan", "sign_weights", "policy", "tr", "tl", "br", "bl",
-        "pattern", "factor",
+        "op", "grid", "b", "c_eff", "zc", "alpha", "n", "h", "w_rad", "w_tan",
+        "policy", "tr", "tl", "br", "bl", "pattern", "factor",
     )
 
     def __init__(self, op, grid, b, c_eff):
@@ -320,39 +321,28 @@ class _Driver:
         self.pattern = self.factor = None
         self.alpha = op.alpha
         self.n = grid.n
-        self.h = grid.h
-        self.r = grid.nodes
-        self.N = grid.N_dim
+        self.h = h = grid.h
+        r = grid.nodes
         # zero-order band factor (alpha + 1) c; exactly c_eff for alpha = 0
         self.zc = (self.alpha + 1.0) * c_eff
-        # weights where a Hessian eigenvalue is >= 0 and where it is < 0
-        pos = op.second_order_weights(1.0, 1.0, self.r)
-        neg = op.second_order_weights(-1.0, -1.0, self.r)
-        self.sign_weights = not all(map(np.array_equal, pos, neg))
-        if self.sign_weights:
-            # Pucci: one scalar weight per sign, the same for both eigenvalues
-            self.policy = (float(pos[0]), float(neg[0]))
-            self.w_rad = self.w_tan = None
-        else:
-            w_rad, w_tan = pos
-            # one shared array marks an isotropic weight (residual short form)
-            self.w_rad = np.full(self.n, w_rad)
-            isotropic = np.ndim(w_rad) == 0 and w_rad == w_tan
-            self.w_tan = self.w_rad if isotropic else np.full(self.n, w_tan)
+        pos, neg = op.weight_table(r)
+        self.policy = None if pos is neg else (pos[0], neg[0])
+        self.w_rad, self.w_tan = pos
+        # the least weights and the largest tangential one, over both signs
+        rad_lo, tan_lo = map(np.minimum, pos, neg)
+        tan_hi = np.maximum(pos[1], neg[1])
         # the tangential eigenvalue (times N-1) of row i is
         # tr w_{i+1/2} + tl w_{i-1/2}, one-sided in the rows where the mean
         # would weigh u_{i-1} negatively under some policy
-        nm1, h = self.N - 1, self.h
+        nm1 = grid.N_dim - 1
         self.tr = np.zeros(self.n)
         self.tr[0] = nm1 / h
-        self.tr[1:-1] = (0.5 * nm1) * (1.0 / self.r[1:-1])
+        self.tr[1:-1] = (0.5 * nm1) * (1.0 / r[1:-1])
         self.tl = self.tr.copy()
         self.tl[0] = -self.tr[0]
-        w_rad = min(self.policy) if self.sign_weights else self.w_rad
-        w_tan = max(self.policy) if self.sign_weights else self.w_tan
-        rows = 2.0 * np.arange(self.n) * w_rad < (self.alpha + 1.0) * nm1 * w_tan
+        rows = 2.0 * np.arange(self.n) * rad_lo < (self.alpha + 1.0) * nm1 * tan_hi
         rows[[0, -1]] = False
-        self.tr[rows] = nm1 / (self.r[rows] + 0.5 * h)
+        self.tr[rows] = nm1 / (r[rows] + 0.5 * h)
         self.tl[rows] = 0.0
         # the drift of row i is br w_{i+1/2} + bl w_{i-1/2}: centred, b/2
         # each, where that keeps P >= 0 >= Q under every policy (P is
@@ -361,8 +351,8 @@ class _Driver:
         # centred, where the odd ghost flux cancels it
         self.br = self.bl = 0.0
         if self.b is not None:
-            P, _ = self._flux_weights(w_rad, w_rad if self.sign_weights else w_tan)
-            _, Q = self._flux_weights(w_rad, w_tan)
+            P, _ = self._flux_weights(rad_lo, tan_lo)
+            _, Q = self._flux_weights(rad_lo, tan_hi)
             bh = 0.5 * self.b
             centred = (P + bh >= 0.0) & (Q + bh <= 0.0)
             centred[[0, -1]] = True
@@ -403,18 +393,13 @@ class _Driver:
         rad = (wr - wl) / ((a + 1.0) * self.h)
         tan = self.tr * wr
         tan += self.tl * wl
-        if self.sign_weights:
+        w_rad, w_tan = self.w_rad, self.w_tan
+        if self.policy is not None:
             lo, hi = self.policy
             w_rad = np.where(rad >= 0, lo, hi)
             w_tan = np.where(tan >= 0, lo, hi)
-        else:
-            w_rad, w_tan = self.w_rad, self.w_tan
-        if w_rad is w_tan:  # isotropic weight
-            res = rad + tan
-            res *= w_rad
-        else:
-            res = w_rad * rad
-            res += w_tan * tan
+        res = w_rad * rad
+        res += w_tan * tan
         if self.b is not None:
             res += self.br * wr
             res += self.bl * wl
@@ -484,9 +469,11 @@ class _Driver:
 
     def _factor(self, v, aux):
         """LU factor of the bands at v, None when they are singular; alpha = 0
-        bands depend on v only through the policy (w_rad, w_tan), so their
-        factor is kept and keyed by it."""
-        pattern = np.concatenate(aux[1:3]).tobytes() if self.alpha == 0.0 else None
+        bands change only with the policy (w_rad, w_tan), so their factor is
+        kept, keyed by it (by a constant where there is no policy)."""
+        pattern = None
+        if self.alpha == 0.0:
+            pattern = b"" if self.policy is None else np.concatenate(aux[1:3]).tobytes()
         if pattern is None or self.pattern != pattern:
             try:
                 self.factor = _TriFactor(*self._bands(v, aux))
