@@ -209,7 +209,8 @@ class SolveOptions:
     ``solve_general``.
 
     ``tol`` (> 0) is an absolute sup-norm residual (solve) or sup-norm
-    change (iteration) tolerance.  ``initial`` is the starting iterate of
+    change (iteration) tolerance, ``max_iter`` (>= 1) bounds the steps and
+    ``U_max`` (> 0) the iterates.  ``initial`` is the starting iterate of
     ``solve_neumann`` (zeros by default), a node array or GridFunction on
     its grid; ``monotone_iteration`` and ``solve_general`` start from their
     own iterates and ignore it.  ``workspace`` is ignored, with a
@@ -225,6 +226,10 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not self.U_max > 0:
+            raise ValueError(f"U_max must be > 0, got {self.U_max!r}")
         if self.workspace is not None:
             warnings.warn(
                 "SolveOptions.workspace is ignored: each solve caches its own factors",
@@ -588,16 +593,18 @@ class _Driver:
         return v, res, aux, rs, bands, steps, rejected, rs <= opts.tol, bound_violation
 
 
-def _initial_array(opts, n):
-    if opts.initial is None:
-        return np.zeros(n)
-    if isinstance(opts.initial, GridFunction):
-        values = opts.initial.values.copy()
-    else:
-        values = np.asarray(opts.initial, dtype=float).copy()
-    if values.shape != (n,):
+def _initial_array(opts, grid):
+    initial = opts.initial
+    if initial is None:
+        return np.zeros(grid.n)
+    if isinstance(initial, GridFunction):
+        if initial.grid != grid:
+            raise ValueError(f"SolveOptions.initial is on {initial.grid}, not on the solve's {grid}")
+        return initial.values.copy()
+    values = np.asarray(initial, dtype=float).copy()
+    if values.shape != (grid.n,):
         raise ValueError(
-            f"SolveOptions.initial must have shape ({n},) on this grid, got {values.shape}"
+            f"SolveOptions.initial must have shape ({grid.n},) on this grid, got {values.shape}"
         )
     return values
 
@@ -687,7 +694,7 @@ def solve_neumann(
             f"violated at {bad.size} node(s): {shown}{more}"
         )
     c0 = float(-np.max(c_eff))
-    report = _solve_report(driver, g, _initial_array(opts, grid.n), opts)
+    report = _solve_report(driver, g, _initial_array(opts, grid), opts)
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo
     if report.converged:

@@ -240,6 +240,12 @@ MALFORMED_TABLES = {
         _with(BASE_EIGEN, "eigen.eig_residual_tol", -1),
         _with(BASE_SOLVE, "coefficients.c", "table:radii-unsorted.csv"),
         _with(BASE_SOLVE, "coefficients.c", "table:cell-abc.csv"),
+        # a non-positive step or iterate bound wrote a report that was not
+        # converged (exit 2), or for alpha = 0 ignored U_max (exit 0)
+        _with(BASE_SOLVE, "solver.max_iter", 0),
+        _with(BASE_SOLVE, "solver.max_iter", -1),
+        _with(BASE_SOLVE, "solver.U_max", 0),
+        _with(BASE_SOLVE, "solver.U_max", -1),
     ],
     ids=[
         "width-0", "width-abc", "sign", "eigen-list", "tol",
@@ -254,6 +260,7 @@ MALFORMED_TABLES = {
         "lambda-nan", "tol-nan", "tol-negative", "eigen-tol-0",
         "eig_residual_tol-0", "eig_residual_tol-negative",
         "table-radii-unsorted", "table-cell-abc",
+        "max_iter-0", "max_iter-negative", "U_max-0", "U_max-negative",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):

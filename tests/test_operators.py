@@ -346,6 +346,80 @@ def test_reflection_identity_on_values():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# ----------------------------- weight table ----------------------------------
+
+
+def B1(r):
+    return 1.5 + 0.25 * np.cos(np.pi * r)
+
+
+def B2(r):
+    return 0.5 * r
+
+
+TABLE_OPERATORS = {
+    "pucci_minus": eb.EllipticOperator.pucci_minus(1.0, 2.0),
+    "pucci_plus": eb.EllipticOperator.pucci_plus(1.0, 2.0),
+    "laplacian": eb.EllipticOperator.laplacian(),
+    "p1.5": eb.EllipticOperator.p_laplacian(1.5),
+    "p3": eb.EllipticOperator.p_laplacian(3.0),
+    "anisotropic": eb.EllipticOperator.anisotropic(
+        1.0, 2.0, q=2.5, c0=0.5, b1_profile=B1, b2_profile=B2
+    ),
+}
+SIGN_INDEPENDENT = {"laplacian", "p1.5", "p3", "anisotropic"}
+TABLE_RADII = np.linspace(0.0, 1.0, 41)
+
+
+def weight_rule(op, h, r, which):
+    """The weight of the radial (which = 0) or tangential (which = 1)
+    Hessian eigenvalue h on radii r, written out per kind."""
+    if op.kind == "pucci_minus":
+        return np.where(h >= 0, op.a, op.A)
+    if op.kind == "pucci_plus":
+        return np.where(h >= 0, op.A, op.a)
+    if op.kind == "p_laplacian":
+        return np.full(h.shape, (op.p - 1.0, 1.0)[which])
+    b1, b2 = B1(r), B2(r)
+    return np.broadcast_to((b1 + op.c0 * b2 * b2, b1)[which], h.shape)
+
+
+@pytest.mark.parametrize("name", TABLE_OPERATORS)
+def test_second_order_weights_follow_the_rule_of_each_kind(name):
+    op = TABLE_OPERATORS[name]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        # signed eigenvalues with exact zeros, which take the >= 0 weight
+        h_rad, h_tan = rng.integers(-2, 3, (2, TABLE_RADII.size)) * rng.uniform(
+            0.1, 5.0, (2, TABLE_RADII.size)
+        )
+        w_rad, w_tan = op.second_order_weights(h_rad, h_tan, TABLE_RADII)
+        np.testing.assert_array_equal(w_rad, weight_rule(op, h_rad, TABLE_RADII, 0))
+        np.testing.assert_array_equal(w_tan, weight_rule(op, h_tan, TABLE_RADII, 1))
+
+
+@pytest.mark.parametrize("name", TABLE_OPERATORS)
+def test_weight_table_repeats_the_pair_where_the_sign_does_not_matter(name):
+    pos, neg = TABLE_OPERATORS[name].weight_table(TABLE_RADII)
+    assert (pos is neg) == (name in SIGN_INDEPENDENT)
+    if name not in SIGN_INDEPENDENT:
+        # Pucci: one weight per sign, the same for both eigenvalues
+        assert pos[0] == pos[1] != neg[0] == neg[1]
+
+
+@pytest.mark.parametrize("name", TABLE_OPERATORS)
+def test_weight_table_of_the_reflected_operator(name):
+    # the reflection swaps the two Pucci kinds, so it swaps their table;
+    # the odd kinds map to themselves and keep it
+    op = TABLE_OPERATORS[name]
+    pos, neg = op.weight_table(TABLE_RADII)
+    reflected = op.reflect().weight_table(TABLE_RADII)
+    expected = (pos, neg) if name in SIGN_INDEPENDENT else (neg, pos)
+    for got, want in zip(reflected, expected):
+        for w_got, w_want in zip(got, want):
+            np.testing.assert_array_equal(w_got, w_want)
+
+
 # ------------------------------- validation ----------------------------------
 
 

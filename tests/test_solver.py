@@ -264,6 +264,39 @@ def test_initial_guess_of_the_wrong_length_is_rejected():
         eb.solve_neumann(LAP, coeff, 0.0, None, g, eb.SolveOptions(initial=np.zeros(5)))
 
 
+@pytest.mark.parametrize(
+    "other", [(2.0, 2, 101), (1.0, 3, 101)], ids=["radius", "dimension"]
+)
+def test_initial_grid_function_on_another_grid_is_rejected(other):
+    # the same node count, so only the grid tells the two apart
+    g = eb.build_grid(1.0, 2, 101)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    init = eb.GridFunction.from_callable(eb.build_grid(*other), np.cos)
+    with pytest.raises(ValueError, match=r"initial is on RadialGrid.*not on the solve's"):
+        eb.solve_neumann(LAP, coeff, 0.0, None, g, eb.SolveOptions(initial=init))
+
+
+def test_initial_grid_function_on_the_solve_grid_is_accepted():
+    g = eb.build_grid(1.0, 2, 101)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    # an equal grid built apart is the solve's grid
+    init = eb.GridFunction.from_callable(eb.build_grid(1.0, 2, 101), np.cos)
+    rep = eb.solve_neumann(LAP, coeff, 0.0, None, g, eb.SolveOptions(initial=init))
+    assert rep.converged
+    assert np.abs(rep.solution.values - 1.0).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iter", 0), ("max_iter", -1), ("U_max", 0.0), ("U_max", -1.0),
+     ("U_max", float("nan"))],
+    ids=["max_iter-0", "max_iter-negative", "U_max-0", "U_max-negative", "U_max-nan"],
+)
+def test_non_positive_step_or_iterate_bound_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        eb.SolveOptions(**{field: value})
+
+
 def test_solve_with_drift_term():
     g = eb.build_grid(1.0, 2, 101)
     coeff = eb.CoefficientField(b=0.7, c=-1.0, g=-1.0)
