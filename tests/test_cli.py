@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import eigenball as eb
-from eigenball.cli import main
+from eigenball.cli import COMMANDS, main
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -164,6 +164,7 @@ def _sweep(base=BASE_SOLVE, parameter=None, workers=1):
 MALFORMED_TABLES = {
     "radii-unsorted.csv": "r,c\n0.0,-1.0\n1.0,-1.0\n0.5,-1.0\n",
     "cell-abc.csv": "r,c\n0.0,-1.0\n1.0,abc\n",
+    "three-columns.csv": "r,c,x\n0.0,-1.0,0.0\n1.0,-1.0,0.0\n",
 }
 
 
@@ -246,6 +247,21 @@ MALFORMED_TABLES = {
         _with(BASE_SOLVE, "solver.max_iter", -1),
         _with(BASE_SOLVE, "solver.U_max", 0),
         _with(BASE_SOLVE, "solver.U_max", -1),
+        dict(BASE_SOLVE, grid={"R": 1.0, "N_dim": 2}),
+        _with(BASE_SOLVE, "coefficients.c", [-1.0, -1.0]),
+        _with(BASE_SOLVE, "coefficients.c", "table:missing.csv"),
+        _with(BASE_SOLVE, "coefficients.c", "table:three-columns.csv"),
+        _with(BASE_SOLVE, "coefficients.c", "foo:1"),
+        dict(BASE_SOLVE, operator=["pucci_minus", 1.0, 1.0]),
+        dict(BASE_SOLVE, grid=[1.0, 2, 101]),
+        dict(BASE_CERTIFY, certify=[0.25, 4.0, 10.0, 0.5]),
+        dict(BASE_CERTIFY, certify={"rho": 0.25, "k": 4.0, "beta1": 10.0}),
+        _with(BASE_CHECK, "check.samples", 0),
+        [BASE_SOLVE],
+        dict(BASE_SOLVE, command="solve-all"),
+        _sweep(base=_sweep()),
+        {**_sweep(), "sweep": {"base": BASE_SOLVE, "parameters": [], "workers": 1}},
+        _sweep(parameter={"path": "grid.n", "values": []}),
     ],
     ids=[
         "width-0", "width-abc", "sign", "eigen-list", "tol",
@@ -261,16 +277,35 @@ MALFORMED_TABLES = {
         "eig_residual_tol-0", "eig_residual_tol-negative",
         "table-radii-unsorted", "table-cell-abc",
         "max_iter-0", "max_iter-negative", "U_max-0", "U_max-negative",
+        "grid-n-missing", "profile-list", "table-missing", "table-three-columns",
+        "spec-unknown", "operator-list", "grid-list", "certify-list",
+        "certify-beta2-missing", "samples-0", "top-level-list", "command-unknown",
+        "sweep-base-sweep", "sweep-parameters-empty", "sweep-values-empty",
     ],
 )
 def test_malformed_config_exits_3_before_any_output(tmp_path, capsys, cfg):
     for name, text in MALFORMED_TABLES.items():
         (tmp_path / name).write_text(text)
-    code, out = run_cli(tmp_path, cfg)
+    # a config that names no command the CLI knows runs as "solve"
+    command = cfg.get("command") if isinstance(cfg, dict) else None
+    code, out = run_cli(tmp_path, cfg, command if command in COMMANDS else "solve")
     err = capsys.readouterr().err
     assert code == 3
     assert not out.exists()
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [None, "{\"command\": \"solve\","], ids=["missing", "json"])
+def test_unreadable_config_exits_3_before_any_output(tmp_path, capsys, text):
+    cfg_path = tmp_path / "config.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg_path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert not out.exists()
+    assert err.startswith("error: cannot read config: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("eps, eps_prime", [(0.3, 0.2), (-0.1, 0.2)])

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 
@@ -646,6 +647,27 @@ def test_failed_cw_newton_solve_names_its_residual(monkeypatch):
     assert message.startswith("Collatz-Wielandt round 1 ")
     assert "the Newton solve stopped at " in message and ", above its floor " in message
     assert "min phi 1.000e+00, bracket [" in message
+
+
+def test_singular_cw_bands_name_their_cause(singular_factor):
+    # an alpha = 0 round is one tridiagonal solve: LAPACK reporting its
+    # bands singular fails round 1
+    with pytest.raises(eb.BracketError) as exc:
+        bracket(eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), lambda r: -1.0 - r**2)
+    message = str(exc.value)
+    assert message.startswith("Collatz-Wielandt round 1 ")
+    assert "failed: singular bands; min phi " in message
+
+
+def test_singular_cw_newton_solve_stops_above_its_floor(singular_factor):
+    # an alpha != 0 round's Newton solve takes no step from t phi, whose
+    # residual lies above the floor the solve reports
+    with pytest.raises(eb.BracketError) as exc:
+        bracket(eb.EllipticOperator.p_laplacian(3.0), lambda r: -1.0 - r**2)
+    message = str(exc.value)
+    assert message.startswith("Collatz-Wielandt round 1 ")
+    stopped, floor = re.search(r"stopped at (\S+), above its floor (\S+);", message).groups()
+    assert float(stopped) > float(floor) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -497,6 +497,17 @@ def test_monotone_rate_matches_the_smallest_shift():
     assert np.abs(rep.final.values - 1.0 / 3.0).max() < 1e-12
 
 
+def test_failed_inner_solve_raises_at_its_step(singular_factor):
+    # no inner solve can take a step, and its residual |g| = 1 lies far
+    # above its floor: the iteration stops at step 1
+    g = eb.build_grid(1.0, 2, 101)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    with pytest.raises(eb.InnerSolveError) as exc:
+        eb.monotone_iteration(LAP, coeff, 0.5, None, g)
+    assert exc.value.step == 1
+    assert str(exc.value).startswith("inner solve failed at iteration step 1: residual_sup=1.000e+00")
+
+
 def test_workspace_reuse_is_equivalent():
     g = eb.build_grid(1.0, 2, 101)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
