@@ -242,8 +242,8 @@ def _inverse_step(driver, phi, phi_a1, aux, sigma, mid, opts):
     else:
         shifted = driver.shifted(sigma)
         t = (mid - sigma) ** (-1.0 / (driver.alpha + 1.0))
-        psi, _, aux, rs, bands, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
-        if not ok and not rs <= (floor := shifted.floor(psi, aux, bands)):
+        psi, rs, floor, _, _, ok, _ = shifted.solve(-phi_a1, t * phi, opts)
+        if not ok and not rs <= floor:
             return None, f"the Newton solve stopped at {rs:.3e}, above its floor {floor:.3e}"
     if not psi.min() > 0.0:
         return None, f"psi lost its strict sign (min psi {psi.min():.3e})"

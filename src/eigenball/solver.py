@@ -500,10 +500,9 @@ class _Driver:
 
     # -- solver -------------------------------------------------------------
 
-    def solve(self, g, v, opts, res=None, aux=None):
+    def solve(self, g, v, opts):
         """Backtracked Newton steps from v until the residual drops below
-        opts.tol, at most opts.max_iter of them; ``res``/``aux`` may carry a
-        residual already evaluated at v.
+        opts.tol, at most opts.max_iter of them.
 
         Step acceptance uses the Euclidean residual norm as merit: it
         tolerates the single-node flips the degenerate gradient factor
@@ -523,17 +522,17 @@ class _Driver:
         alpha != 0, it need not.  Once 2^-k sup|du| <= eps (1 + sup|v|), the
         points no longer move v beyond its rounding, and the solve ends.
 
-        Returns (v, res, aux, rs, bands, iterations, rejected, converged,
-        bound_violation): bands those of the returned v if built (else
-        None), iterations the accepted Newton steps, rejected the rejected
-        Newton steps and backtracked points.  Also stops on a step rejected
-        from an iterate whose residual is at its floor, on singular bands,
-        or on an alpha != 0 iterate escaping past U_max.  alpha = 0 iterates
-        are not tested against U_max: the stencil is monotone, so every
-        alpha = 0 step solves a linear problem frozen at a policy, which the
-        barrier of ``solve_neumann`` bounds, or below both thresholds the
-        nonnegative inverse of the M-matrix -L.  The best iterate seen is
-        returned.
+        Returns (v, rs, floor, iterations, rejected, converged,
+        bound_violation): rs the sup-norm residual and floor ``floor`` at
+        the returned v, iterations the accepted Newton steps, rejected the
+        rejected Newton steps and backtracked points.  Also stops on a step
+        rejected from an iterate whose residual is at its floor, on singular
+        bands, or on an alpha != 0 iterate escaping past U_max.  alpha = 0
+        iterates are not tested against U_max: the stencil is monotone, so
+        every alpha = 0 step solves a linear problem frozen at a policy,
+        which the barrier of ``solve_neumann`` bounds, or below both
+        thresholds the nonnegative inverse of the M-matrix -L.  The best
+        iterate seen is returned.
         """
         if self.alpha > 0.0 and not v.any():
             # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g, with
@@ -541,14 +540,12 @@ class _Driver:
             # thresholds, ``eigen.solve_general``)
             c = np.minimum(self.c_eff, -1.0)
             v = signed_power(g / c, -self.alpha / (self.alpha + 1.0))
-            res = None
-        if res is None or aux is None:
-            res, aux = self.residual(g, v)
+        res, aux = self.residual(g, v)
         rs = _supabs(res)
         steps = rejected = 0
         bound_violation = False
         merit = math.sqrt(res.dot(res))
-        best = (v, res, aux, rs)
+        best = (v, aux, rs)
         bands = None
         while steps < opts.max_iter and rs > opts.tol:
             if bands is None:
@@ -584,13 +581,14 @@ class _Driver:
             v, res, aux, merit = v_new, res_new, aux_new, merit_new
             bands = None
             rs = _supabs(res)
-            if rs < best[3]:
-                best = (v, res, aux, rs)
+            if rs < best[2]:
+                best = (v, aux, rs)
             steps += 1
-        if rs > best[3]:
-            v, res, aux, rs = best
+        if rs > best[2]:
+            v, aux, rs = best
             bands = None
-        return v, res, aux, rs, bands, steps, rejected, rs <= opts.tol, bound_violation
+        floor = self.floor(v, aux, bands)
+        return v, rs, floor, steps, rejected, rs <= opts.tol, bound_violation
 
 
 def _initial_array(opts, grid):
@@ -621,11 +619,8 @@ def _problem(op, coeff, grid, lam=None, g_profile=None):
 
 
 def _solve_report(driver, g, v0, opts) -> SolveReport:
-    """Run ``driver.solve`` from v0 and report the outcome, with the
-    residual floor at the returned iterate."""
-    v, _, aux, rs, bands, iterations, rejected, converged, bound_violation = (
-        driver.solve(g, v0, opts)
-    )
+    """Run ``driver.solve`` from v0 and report the outcome."""
+    v, rs, floor, iterations, rejected, converged, bound_violation = driver.solve(g, v0, opts)
     return SolveReport(
         solution=GridFunction(driver.grid, v),
         residual_sup=rs,
@@ -633,7 +628,7 @@ def _solve_report(driver, g, v0, opts) -> SolveReport:
         rejected=rejected,
         converged=converged,
         bound_violation=bound_violation and not converged,
-        residual_floor=driver.floor(v, aux, bands),
+        residual_floor=floor,
     )
 
 
@@ -721,9 +716,9 @@ def monotone_iteration(
     precondition holds by construction, and the factor lambda + s >= 0 keeps
     the iteration order-preserving.  Inner tolerances are tol/10, scaled by
     a bound on the inner right-hand side so they stay meaningful when the
-    iterates grow large, and raised to ``_Driver.floor`` at u of the bands
-    of the run's last Newton step; an inner solve that stops at its own
-    floor is accepted.
+    iterates grow large, and raised to the floor (``_Driver.floor``) that
+    the last inner solve returned at u; an inner solve that stops at its
+    own floor is accepted.
     """
     opts = opts if opts is not None else SolveOptions()
     if direction not in ("up", "down"):
@@ -747,34 +742,20 @@ def monotone_iteration(
     driver = base.shifted(-shift)
     inner = SolveOptions()
     u = np.zeros(grid.n)
-    sup = unit = 0.0
-    res = aux = g_prev = seen = None
+    sup = floor = 0.0
     sup_norms, min_values = [0.0], [0.0]
     flags = []
     verdict = Verdict.MAX_ITER
     for step in range(1, opts.max_iter + 1):
         g_inner = g - factor * signed_power(u, op.alpha)
-        if res is not None:
-            # only the data changed since the last iterate, so the stored
-            # residual shifts by the data difference exactly and the
-            # derivative data (aux) at u is still valid
-            res = res + (g_prev - g_inner)
-        else:
-            res, aux = driver.residual(g_inner, u)
-        g_prev = g_inner
         # |g_inner|_inf <= |g|_inf + |factor| * sup^{alpha+1}; the analytic
         # bound is enough for tolerance/limit scaling
         g_scale = max(1.0, g_sup + abs(factor) * sup ** (op.alpha + 1.0))
-        # the floor at u of the bands of this run's last Newton step (0 before
-        # it), ||L||_inf taken again only when the factor changes (per policy
-        # at alpha = 0)
-        if driver.factor is not seen:
-            seen = driver.factor
-            unit = float(_rounding(seen.bands).max())
-        inner.tol = max(opts.tol / 10.0 * g_scale, unit * (1.0 + sup))
+        # raised to the floor at u that the last inner solve returned
+        inner.tol = max(opts.tol / 10.0 * g_scale, floor)
         inner.U_max = 10.0 * g_scale ** (1.0 / (op.alpha + 1.0)) + 10.0
-        u_new, res, aux, rs, bands, _, _, ok, _ = driver.solve(g_inner, u, inner, res, aux)
-        if not ok and rs > driver.floor(u_new, aux, bands):
+        u_new, rs, floor, _, _, ok, _ = driver.solve(g_inner, u, inner)
+        if not ok and rs > floor:
             raise InnerSolveError(
                 step,
                 f"residual_sup={rs:.3e} above tolerance {inner.tol:.3e}",

@@ -804,9 +804,11 @@ def test_rejected_newton_step_backtracks_before_any_pseudo_time_trial(monkeypatc
     merit = float(np.sqrt(res @ res))
     calls = _counted_steps(monkeypatch)
     points = _counted_residual(monkeypatch)
-    out = driver.solve(g, v, eb.SolveOptions(max_iter=1), res, aux)
-    steps, rejected = out[5:7]
-    # one solve, the Newton step, then points v + 2^-k du_N with no solve
+    out = driver.solve(g, v, eb.SolveOptions(max_iter=1))
+    steps, rejected = out[3:5]
+    # the start, one solve, the Newton step, then points v + 2^-k du_N with
+    # no solve
+    assert np.array_equal(points.pop(0)[0], v)
     assert len(calls) == 1
     du = calls[0]
     assert len(points) == 3
