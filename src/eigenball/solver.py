@@ -604,6 +604,8 @@ def _initial_array(opts, grid):
         raise ValueError(
             f"SolveOptions.initial must have shape ({grid.n},) on this grid, got {values.shape}"
         )
+    if not np.isfinite(values).all():
+        raise ValueError("SolveOptions.initial must be finite at every node")
     return values
 
 
@@ -678,6 +680,7 @@ def solve_neumann(
     PreconditionError if c + lambda >= 0 somewhere on the grid.
     """
     opts = opts if opts is not None else SolveOptions()
+    v0 = _initial_array(opts, grid)
     driver, g = _problem(op, coeff, grid, lam, g_profile)
     c_eff = driver.c_eff
     bad = np.flatnonzero(c_eff >= 0)
@@ -689,7 +692,7 @@ def solve_neumann(
             f"violated at {bad.size} node(s): {shown}{more}"
         )
     c0 = float(-np.max(c_eff))
-    report = _solve_report(driver, g, _initial_array(opts, grid), opts)
+    report = _solve_report(driver, g, v0, opts)
     expo = 1.0 / (op.alpha + 1.0)
     report.barrier_bound = float(np.max(np.abs(g))) ** expo / c0**expo + opts.tol**expo
     if report.converged:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,21 @@ def test_initial_grid_function_on_another_grid_is_rejected(other):
     init = eb.GridFunction.from_callable(eb.build_grid(*other), np.cos)
     with pytest.raises(ValueError, match=r"initial is on RadialGrid.*not on the solve's"):
         eb.solve_neumann(LAP, coeff, 0.0, None, g, eb.SolveOptions(initial=init))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("op", [LAP, eb.EllipticOperator.p_laplacian(3.0)], ids=["laplacian", "p3"])
+def test_non_finite_initial_guess_is_rejected_before_the_solve(op, bad):
+    # the solve ran on it with RuntimeWarnings and then failed in the report
+    # with a message that did not name the start
+    g = eb.build_grid(1.0, 2, 51)
+    coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
+    init = np.ones(g.n)
+    init[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"SolveOptions\.initial must be finite"):
+            eb.solve_neumann(op, coeff, 0.0, None, g, eb.SolveOptions(initial=init))
 
 
 def test_initial_grid_function_on_the_solve_grid_is_accepted():
