@@ -523,16 +523,16 @@ class _Driver:
         points no longer move v beyond its rounding, and the solve ends.
 
         Returns (v, rs, floor, iterations, rejected, converged,
-        bound_violation): rs the sup-norm residual and floor ``floor`` at
-        the returned v, iterations the accepted Newton steps, rejected the
-        rejected Newton steps and backtracked points.  Also stops on a step
-        rejected from an iterate whose residual is at its floor, on singular
-        bands, or on an alpha != 0 iterate escaping past U_max.  alpha = 0
-        iterates are not tested against U_max: the stencil is monotone, so
-        every alpha = 0 step solves a linear problem frozen at a policy,
-        which the barrier of ``solve_neumann`` bounds, or below both
-        thresholds the nonnegative inverse of the M-matrix -L.  The best
-        iterate seen is returned.
+        bound_violation): rs the sup-norm residual at the returned v and
+        floor its rounding floor (``floor``), iterations the accepted Newton
+        steps, rejected the rejected Newton steps and backtracked points.
+        Also stops on a step rejected from an iterate whose residual is at
+        its floor, on singular bands, or on an alpha != 0 iterate escaping
+        past U_max.  alpha = 0 iterates are not tested against U_max: the
+        stencil is monotone, so every alpha = 0 step solves a linear problem
+        frozen at a policy, which the barrier of ``solve_neumann`` bounds,
+        or below both thresholds the nonnegative inverse of the M-matrix -L.
+        The best iterate seen is returned.
         """
         if self.alpha > 0.0 and not v.any():
             # the Jacobian is ~0 at u = 0: start from c |u|^alpha u = g, with
