@@ -67,7 +67,7 @@ from .solver import (
     _rounding,
     _solve_report,
     _supabs,
-    _TriFactor,
+    _tridiagonal_solve,
 )
 # unused here, but the benchmark's tracer wraps these eigenball.eigen names
 from .operators import sample_profile, signed_power  # noqa: F401
@@ -235,9 +235,8 @@ def _inverse_step(driver, phi, phi_a1, aux, sigma, mid, opts):
     or (None, cause); for alpha != 0 Newton steps from t phi (module docstring)."""
     if driver.alpha == 0.0:
         lower, diag, upper = driver._bands(phi, aux)
-        try:
-            psi = _TriFactor(-lower, -diag - sigma, -upper).solve(phi)
-        except np.linalg.LinAlgError:
+        psi = _tridiagonal_solve(-lower, -diag - sigma, -upper, phi)
+        if psi is None:
             return None, "singular bands"
     else:
         shifted = driver.shifted(sigma)

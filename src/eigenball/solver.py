@@ -9,8 +9,7 @@ c + lambda <= -c0 < 0.  Every step is a Newton step: a tridiagonal solve
 with the exact linearization L of the discrete operator.  For gradient
 exponent alpha = 0, L is the frozen-policy operator (L v = G(v) exactly),
 so the Newton steps are Howard policy iteration (Bokanowski, Maroso &
-Zidani 2009), du = -L^-1 residual from a factorization cached while the
-eigenvalue sign pattern is unchanged; for alpha != 0, L is the Jacobian.
+Zidani 2009); for alpha != 0, L is the Jacobian.
 A Newton step that does not lower the Euclidean residual norm is
 backtracked: the points v + 2^-k du cost one residual each and no solve,
 and the first that lowers the norm is accepted.  L is built once per
@@ -111,7 +110,7 @@ ROUNDOFF_SAFETY = 10.0
 
 
 def _tridiagonal_lapack():
-    """LAPACK dgttrf and dgttrs from scipy's f2py extension
+    """LAPACK dgtsv from scipy's f2py extension
     ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package.
 
     The package ``__init__`` costs most of the import of eigenball (its
@@ -120,7 +119,7 @@ def _tridiagonal_lapack():
     its file is loaded from scipy's install directory and the entry it makes
     in ``sys.modules`` is removed, so a later ``import scipy.linalg`` builds
     its own module; the extension is single-phase, so that module hands out
-    these same routine objects.
+    this same routine object.
     """
     name = "scipy.linalg._flapack"
     flapack = sys.modules.get(name)
@@ -142,10 +141,18 @@ def _tridiagonal_lapack():
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
         sys.modules.pop(name, None)
-    return flapack.dgttrf, flapack.dgttrs
+    return flapack.dgtsv
 
 
-_gttrf, _gttrs = _tridiagonal_lapack()
+_gtsv = _tridiagonal_lapack()
+
+
+def _tridiagonal_solve(lower, diag, upper, rhs):
+    """x with (lower, diag, upper) x = rhs by LAPACK dgtsv, Gaussian
+    elimination with partial pivoting, the one linear solver of the package;
+    None when the bands are singular.  The arguments are left unchanged."""
+    *_, x, info = _gtsv(lower, diag, upper, rhs)
+    return x if info == 0 else None
 
 
 def _supabs(x) -> float:
@@ -182,27 +189,6 @@ class Verdict(enum.Enum):
     MAX_ITER = "max_iter"
 
 
-class _TriFactor:
-    """LU factorization of a tridiagonal matrix (LAPACK gttrf/gttrs, bound
-    from scipy's LAPACK extension by ``_tridiagonal_lapack``), the one
-    linear solver of the package."""
-
-    __slots__ = ("_lu", "bands")
-
-    def __init__(self, lower, diag, upper):
-        dlf, df, duf, du2, ipiv, info = _gttrf(lower, diag, upper)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gttrf info={info}")
-        self._lu = (dlf, df, duf, du2, ipiv)
-        self.bands = (lower, diag, upper)
-
-    def solve(self, rhs):
-        x, info = _gttrs(*self._lu, rhs)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gttrs info={info}")
-        return x
-
-
 @dataclass
 class SolveOptions:
     """Options for ``solve_neumann``, ``monotone_iteration`` and
@@ -214,7 +200,7 @@ class SolveOptions:
     ``solve_neumann`` (zeros by default), a node array or GridFunction on
     its grid; ``monotone_iteration`` and ``solve_general`` start from their
     own iterates and ignore it.  ``workspace`` is ignored, with a
-    ``DeprecationWarning`` when given: each solve caches its own factors.
+    ``DeprecationWarning`` when given.
     """
 
     tol: float = 1e-9
@@ -232,7 +218,7 @@ class SolveOptions:
             raise ValueError(f"U_max must be > 0, got {self.U_max!r}")
         if self.workspace is not None:
             warnings.warn(
-                "SolveOptions.workspace is ignored: each solve caches its own factors",
+                "SolveOptions.workspace is ignored",
                 DeprecationWarning,
                 stacklevel=3,
             )
@@ -308,14 +294,14 @@ class _Driver:
     ``EllipticOperator.weight_table`` gives them (``policy``, the Pucci
     weights for an eigenvalue >= 0 and < 0, or None and the weights
     ``w_rad``, ``w_tan``), the tangential and drift flux coefficients ``tr``,
-    ``tl``, ``br``, ``bl``; and the factor of the last bands with its key
-    ``pattern`` (``_factor``).  All heavy per-step work (residual, bands,
-    factor) happens here so the iteration layers above stay thin.
+    ``tl``, ``br``, ``bl``.  Nothing is kept between solves.  All heavy
+    per-step work (residual, bands, solve) happens here so the iteration
+    layers above stay thin.
     """
 
     __slots__ = (
         "op", "grid", "b", "c_eff", "zc", "alpha", "n", "h", "w_rad", "w_tan",
-        "policy", "tr", "tl", "br", "bl", "pattern", "factor",
+        "policy", "tr", "tl", "br", "bl",
     )
 
     def __init__(self, op, grid, b, c_eff):
@@ -323,7 +309,6 @@ class _Driver:
         self.grid = grid
         self.b = b if (b is not None and np.any(b)) else None
         self.c_eff = c_eff
-        self.pattern = self.factor = None
         self.alpha = op.alpha
         self.n = grid.n
         self.h = h = grid.h
@@ -472,21 +457,6 @@ class _Driver:
         lower[-1] += pr[-1]
         return lower, diag, upper
 
-    def _factor(self, v, aux):
-        """LU factor of the bands at v, None when they are singular; alpha = 0
-        bands change only with the policy (w_rad, w_tan), so their factor is
-        kept, keyed by it (by a constant where there is no policy)."""
-        pattern = None
-        if self.alpha == 0.0:
-            pattern = b"" if self.policy is None else np.concatenate(aux[1:3]).tobytes()
-        if pattern is None or self.pattern != pattern:
-            try:
-                self.factor = _TriFactor(*self._bands(v, aux))
-            except np.linalg.LinAlgError:
-                return None
-            self.pattern = pattern
-        return self.factor
-
     def floor(self, v, aux, bands=None) -> float:
         """ROUNDOFF_SAFETY eps ||L||_inf (1 + sup|v|), the smallest residual
         floating point resolves at the iterate v with bands L (those of aux
@@ -507,10 +477,9 @@ class _Driver:
         Step acceptance uses the Euclidean residual norm as merit: it
         tolerates the single-node flips the degenerate gradient factor
         produces, and since sup <= l2 the sup-norm convergence test is only
-        taken earlier.  Every Newton step is du = -L^-1 residual with the
-        factor of the bands at the iterate (``_factor``), which serve as the
-        bands of the iterate; for alpha = 0 that factor is cached per
-        policy.
+        taken earlier.  Every Newton step is du = -L^-1 residual, one
+        tridiagonal solve (``_tridiagonal_solve``) with the bands L at the
+        iterate.
 
         A rejected Newton step du from an iterate above its floor is
         backtracked (Dennis & Schnabel 1996, sec. 6.3): the points
@@ -553,12 +522,10 @@ class _Driver:
                 if self.alpha != 0.0 and _supabs(v) > opts.U_max:
                     bound_violation = True
                     break
-                factor = self._factor(v, aux)
-                if factor is None:
+                bands = self._bands(v, aux)
+                du = _tridiagonal_solve(*bands, -res)
+                if du is None:
                     break
-                bands = factor.bands
-                du = factor.solve(res)
-                du *= -1.0
                 size = None
             v_new = v + du
             res_new, aux_new = self.residual(g, v_new)

@@ -79,16 +79,16 @@ def mfg2d():
 
 @pytest.fixture
 def singular_factor(monkeypatch):
-    """LAPACK gttrf reports every tridiagonal matrix singular (info = 1)."""
+    """LAPACK gtsv reports every tridiagonal matrix singular (info = 1)."""
     from eigenball import solver
 
-    gttrf = solver._gttrf
+    gtsv = solver._gtsv
 
-    def singular_gttrf(*args):
-        *lu, _ = gttrf(*args)
-        return (*lu, 1)
+    def singular_gtsv(*args):
+        *out, _ = gtsv(*args)
+        return (*out, 1)
 
-    monkeypatch.setattr(solver, "_gttrf", singular_gttrf)
+    monkeypatch.setattr(solver, "_gtsv", singular_gtsv)
 
 
 def nested_solve(op, coeff, lam, g_profile, grids, tol=1e-9):

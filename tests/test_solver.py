@@ -258,6 +258,29 @@ def test_solve_unique_from_random_initial_guesses():
             assert np.abs(sols[i] - sols[j]).max() <= 2.0 * tol
 
 
+def test_node_array_coefficients_solve_as_their_callables():
+    # c sampled at the nodes and b as None (no drift) give the bytes of the
+    # solve with the callable c and b = 0
+    g = eb.build_grid(1.0, 2, 201)
+    op = eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0)
+    coeff = eb.CoefficientField(
+        b=0.0, c=lambda r: -1.0 - r**2, g=lambda r: -1.0 + 0.5 * np.cos(np.pi * r)
+    )
+    rep = eb.solve_neumann(op, coeff, 0.0, None, g)
+    nodes = eb.CoefficientField(b=None, c=coeff.c(g.nodes), g=coeff.g)
+    arr = eb.solve_neumann(op, nodes, 0.0, None, g)
+    assert rep.converged
+    assert arr.solution.values.tobytes() == rep.solution.values.tobytes()
+    assert (arr.residual_sup, arr.iterations) == (rep.residual_sup, rep.iterations)
+
+
+def test_node_array_coefficient_of_the_wrong_shape_is_rejected():
+    g = eb.build_grid(1.0, 2, 201)
+    coeff = eb.CoefficientField(b=0.0, c=-np.ones(101), g=-1.0)
+    with pytest.raises(ValueError, match=r"profile array shape \(101,\) does not match radii \(201,\)"):
+        eb.solve_neumann(LAP, coeff, 0.0, None, g)
+
+
 def test_initial_guess_of_the_wrong_length_is_rejected():
     g = eb.build_grid(1.0, 2, 401)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
@@ -463,6 +486,8 @@ def test_monotone_sign_preconditions():
         eb.monotone_iteration(LAP, coeff, 0.0, 1.0, g, direction="up")
     with pytest.raises(eb.PreconditionError, match="requires g >= 0"):
         eb.monotone_iteration(LAP, coeff, 0.0, -1.0, g, direction="down")
+    with pytest.raises(ValueError, match="direction must be 'up' or 'down', got 'sideways'"):
+        eb.monotone_iteration(LAP, coeff, 0.0, -1.0, g, direction="sideways")
 
 
 def test_monotone_transition_is_monotone_in_lambda():
@@ -527,7 +552,7 @@ def test_failed_inner_solve_raises_at_its_step(singular_factor):
 def test_workspace_reuse_is_equivalent():
     g = eb.build_grid(1.0, 2, 101)
     coeff = eb.CoefficientField(b=0.0, c=-1.0, g=-1.0)
-    # the workspace is ignored: each solve caches its own factors
+    # the workspace is ignored
     with pytest.warns(DeprecationWarning, match="workspace"):
         opts = eb.SolveOptions(workspace=eb.SolveWorkspace())
     a = eb.monotone_iteration(LAP, coeff, 0.5, None, g, opts)
@@ -750,16 +775,17 @@ def test_singular_factor_stops_the_solve(singular_factor):
 
 
 def _counted_steps(monkeypatch):
-    """Record the Newton step du = -x of every tridiagonal solve x."""
+    """Record the Newton step du = x of every tridiagonal solve x, as
+    returned (the solve halves du in place along a rejected step)."""
     calls = []
-    solve = solver._TriFactor.solve
+    solve = solver._tridiagonal_solve
 
-    def counted_solve(self, rhs):
-        x = solve(self, rhs)
-        calls.append(-x)
+    def counted_solve(*args):
+        x = solve(*args)
+        calls.append(x.copy())
         return x
 
-    monkeypatch.setattr(solver._TriFactor, "solve", counted_solve)
+    monkeypatch.setattr(solver, "_tridiagonal_solve", counted_solve)
     return calls
 
 
@@ -849,18 +875,18 @@ def test_cold_pucci_solve_with_drift_makes_one_solve_per_step(monkeypatch):
     )
     calls = _counted_steps(monkeypatch)
     factorizations = [0]
-    gttrf = solver._gttrf
+    gtsv = solver._gtsv
 
-    def counted_gttrf(*args):
+    def counted_gtsv(*args):
         factorizations[0] += 1
-        return gttrf(*args)
+        return gtsv(*args)
 
-    monkeypatch.setattr(solver, "_gttrf", counted_gttrf)
+    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
     rep = eb.solve_neumann(op, coeff, 0.0, None, grid)
     assert rep.converged
     assert rep.iterations <= 150
     assert len(calls) == rep.iterations
-    # alpha != 0 bands depend on the iterate: each Newton solve factors them
+    # each Newton step is one gtsv call on the bands at its iterate
     assert factorizations[0] == len(calls)
 
 
@@ -912,31 +938,32 @@ def test_pucci_plus_with_wide_ellipticity_converges_in_newton_steps(N, n):
 
 
 @pytest.mark.parametrize(
-    "op, b, steps, factorizations",
+    "op, b, steps, solves",
     [
         # 241 and 69 outer steps when the inner tolerance used the
-        # closed-form stencil floor instead of the factored bands
-        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), 0.0, 231, 6),
-        (LAP, 300.0, 67, 1),
+        # closed-form stencil floor instead of the bands at the iterate
+        (eb.EllipticOperator.pucci_minus(1.0, 2.0, 0.0), 0.0, 231, 236),
+        (LAP, 300.0, 67, 66),
     ],
     ids=["pucci_minus", "laplacian_drift"],
 )
-def test_monotone_iteration_reuses_one_factor_per_policy(monkeypatch, op, b, steps, factorizations):
-    # every alpha = 0 Newton step of the inner solves comes from the factor
-    # cached for its policy: one gttrf per policy change
-    calls = {"gttrf": 0}
-    gttrf = solver._gttrf
+def test_monotone_iteration_makes_one_solve_per_newton_step(monkeypatch, op, b, steps, solves):
+    # every Newton step of the inner solves, accepted or rejected, is one
+    # gtsv call on the bands at its iterate; the pucci_minus inner solves
+    # take 235 accepted steps and reject 1, the laplacian_drift ones 66 and 0
+    calls = {"gtsv": 0}
+    gtsv = solver._gtsv
 
-    def counted_gttrf(*args):
-        calls["gttrf"] += 1
-        return gttrf(*args)
+    def counted_gtsv(*args):
+        calls["gtsv"] += 1
+        return gtsv(*args)
 
-    monkeypatch.setattr(solver, "_gttrf", counted_gttrf)
+    monkeypatch.setattr(solver, "_gtsv", counted_gtsv)
     coeff = eb.CoefficientField(b=b, c=lambda r: -1.0 - r**2, g=-1.0)
     rep = eb.monotone_iteration(op, coeff, 1.5, None, eb.build_grid(1.0, 2, 401))
     assert rep.verdict is Verdict.CONVERGED
     assert rep.iterations == steps
-    assert calls == {"gttrf": factorizations}
+    assert calls == {"gtsv": solves}
 
 
 # ------------------------------ LAPACK binding -------------------------------
@@ -969,9 +996,8 @@ SAME_ROUTINES = """
     import numpy as np
     import scipy.linalg
     from eigenball import solver
-    routines = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
-    assert routines[0] is solver._gttrf
-    assert routines[1] is solver._gttrs
+    routines = scipy.linalg.get_lapack_funcs(("gtsv",), (np.array([1.0]),))
+    assert routines[0] is solver._gtsv
 """
 
 
@@ -980,7 +1006,7 @@ def test_lapack_routines_are_scipys_after_eigenball_import():
         import eigenball
         import scipy.linalg
         from scipy.optimize import minimize
-        assert scipy.linalg._flapack.dgttrf is eigenball.solver._gttrf
+        assert scipy.linalg._flapack.dgtsv is eigenball.solver._gtsv
         res = minimize(lambda x: ((x - 1.0) ** 2).sum(), [0.0, 3.0], method="L-BFGS-B")
         assert res.success and abs(res.x - 1.0).max() < 1e-6
     """, SAME_ROUTINES)
